@@ -40,13 +40,8 @@ from .model import (
 
 def format_clock(hours: float) -> str:
     """Render an hour count as H:MM, marking day spill as (+1d)/(-1d)."""
-    day_offset = 0
-    while hours >= 24.0:
-        hours -= 24.0
-        day_offset += 1
-    while hours < 0.0:
-        hours += 24.0
-        day_offset -= 1
+    days, hours = divmod(hours, 24.0)
+    day_offset = int(days)
     minutes = int(round(hours * 60.0))
     if minutes == 24 * 60:  # rounding can land exactly on midnight
         minutes = 0

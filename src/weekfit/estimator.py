@@ -1,11 +1,27 @@
-"""Least-squares fitting of the weekly component model by gradient descent.
+"""Least-squares fitting of the weekly component model.
 
-The objective is the plain sum of squared residuals between modeled and
-measured hourly traffic.  Descent runs on a transformed parameter vector:
-amplitudes are scaled by the data maximum and projected onto [0, inf),
-variances are optimized as log-variance, and peak times move unconstrained
-and are wrapped into [0, 24) only on output.  A backtracking line search
-keeps the objective non-increasing at every accepted step.
+The objective J is the plain sum of squared residuals between modeled and
+measured hourly traffic.  An hourly series samples only the 168 week
+slots, so everything but J itself depends on the data through the per-slot
+sample counts n_s and means y_s alone: the gradient is 2 J_m^T N (m - y)
+with J_m the 168 x 27 Jacobian of the slot model m.  One slot problem
+serves ``objective``, ``gradient`` and both solvers; J is kept as the exact
+per-sample sum of squares.
+
+Both solvers move a transformed parameter vector inside one box:
+amplitudes scaled by the data maximum and kept >= 0, peak times kept in
+[0, 24) (a component shifted by a whole day lands on other days, so peak
+times are bounded rather than wrapped), and variances optimized as
+log-variance in [-20, 20].
+
+- ``method="lm"`` (default): Levenberg-Marquardt (Marquardt 1963; More
+  1978), damped Gauss-Newton steps on the slot Jacobian with coordinates
+  pinned on a bound frozen for the step.
+- ``method="gd"``: the paper's projected gradient descent with
+  Barzilai-Borwein trial steps and Armijo backtracking.
+
+Either solver accepts a point only if J does not rise, so the objective
+trace is non-increasing.
 """
 
 from __future__ import annotations
@@ -21,7 +37,6 @@ from .errors import SeriesTooShortError
 from .model import (
     _SLOT_BASE,
     _TERM_COMPONENT,
-    _TERM_SEGMENTS,
     _gaussian_terms,
     _model_arrays,
     ComponentId,
@@ -37,6 +52,7 @@ from .model import (
 )
 
 N_PARAMETERS = 3 * len(ComponentId)
+METHODS = ("lm", "gd")
 
 # Armijo sufficient-decrease slope and the floor used in the relative
 # objective-change stop test (normalized units).
@@ -46,6 +62,19 @@ _MIN_STEP = 1e-20
 _MAX_STEP = 1e10
 # Log-variance is clamped to keep 1/variance**2 finite in the gradient.
 _LOG_VARIANCE_BOUND = 20.0
+# Box on the transformed vector, per component (amplitude, peak time,
+# log-variance); the largest float below 24 keeps peak times in [0, 24).
+_LOWER = np.tile([0.0, 0.0, -_LOG_VARIANCE_BOUND], len(ComponentId))
+_UPPER = np.tile([np.inf, np.nextafter(HOURS_PER_DAY, 0.0), _LOG_VARIANCE_BOUND], len(ComponentId))
+# Levenberg-Marquardt damping schedule; the floor keeps the damping term
+# positive for columns that vanish (time and variance of a zero amplitude).
+_LM_INITIAL_DAMPING = 1.0
+_LM_DAMPING_FACTOR = 10.0
+_LM_MAX_DAMPING = 1e16
+_LM_DIAGONAL_FLOOR = 1e-12
+
+# (63, 9) indicator of the component each Gaussian term belongs to.
+_TERM_INDICATOR = (_TERM_COMPONENT[:, None] == np.arange(len(ComponentId))).astype(float)
 
 # Hour windows searched for each period's initial peak; the evening window
 # runs past midnight into the next day.
@@ -60,11 +89,13 @@ _PERIOD_WINDOWS = {
 class FitConfig:
     """Optimizer settings.
 
-    ``relative_tolerance`` applies to the per-iteration objective drop
-    |dJ| / max(J, 1e-12); ``initial_step`` is the first trial step in
-    normalized units.  With ``normalize`` on, data and amplitudes are
-    divided by the data maximum before fitting so one step size serves
-    traffic rates of any magnitude.
+    ``method`` picks the solver: ``"lm"`` (Levenberg-Marquardt, default) or
+    ``"gd"`` (projected gradient descent).  ``relative_tolerance`` applies to
+    the per-iteration objective drop |dJ| / max(J, 1e-12).
+    ``initial_step`` (the first trial step in normalized units) and
+    ``backtracking_factor`` apply to ``"gd"`` only.  With ``normalize`` on,
+    data and amplitudes are divided by the data maximum before fitting so
+    one step size serves traffic rates of any magnitude.
     """
 
     max_iterations: int = 5000
@@ -72,6 +103,7 @@ class FitConfig:
     initial_step: float = 1.0
     backtracking_factor: float = 0.5
     normalize: bool = True
+    method: str = "lm"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -84,6 +116,8 @@ class FitConfig:
             raise ValueError(
                 f"backtracking_factor must lie in (0, 1), got {self.backtracking_factor}"
             )
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -106,54 +140,62 @@ class FitReport:
         object.__setattr__(self, "objective_trace", trace)
 
 
-# A series samples at most the 168 distinct week positions, so the model
-# is evaluated once per slot and gathered per sample; residuals are folded
-# back per slot (bincount) before the gradient contractions.
-def _series_slots(data: TrafficSeries) -> np.ndarray:
-    return data.hour_counters() % HOURS_PER_WEEK
+class _SlotProblem:
+    """A series reduced to the 168 week slots: sample counts and means per slot."""
+
+    def __init__(self, data: TrafficSeries, scale: float = 1.0):
+        self.slots = data.hour_counters() % HOURS_PER_WEEK
+        self.targets = data.values / scale
+        self.counts = np.bincount(self.slots, minlength=HOURS_PER_WEEK).astype(float)
+        sums = np.bincount(self.slots, weights=self.targets, minlength=HOURS_PER_WEEK)
+        self.means = sums / np.maximum(self.counts, 1.0)
+
+    def at_vector(self, x: np.ndarray) -> _SlotPoint:
+        """The point of a transformed vector (amplitude, peak time, log-variance)."""
+        return _SlotPoint(self, x[0::3], x[1::3], np.exp(x[2::3]))
 
 
-def _residual(
-    amplitudes: np.ndarray,
-    times: np.ndarray,
-    variances: np.ndarray,
-    slots: np.ndarray,
-    targets: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    offsets, factors = _gaussian_terms(times, variances, _SLOT_BASE)
-    per_slot = factors @ amplitudes[_TERM_COMPONENT]
-    resid = per_slot[slots] - targets
-    return offsets, factors, resid
+class _SlotPoint:
+    """The slot model at one parameter set: J, the folded residual and the Jacobian."""
+
+    def __init__(self, problem: _SlotProblem, rates, times, variances):
+        self.rates = rates
+        self.variances = variances
+        self.offsets, self.factors = _gaussian_terms(times, variances, _SLOT_BASE)
+        per_slot = self.factors @ rates[_TERM_COMPONENT]
+        resid = per_slot[problem.slots] - problem.targets
+        self.value = float(resid @ resid)
+        # n_s (m_s - y_s): the per-sample residuals summed per slot
+        self.folded = problem.counts * (per_slot - problem.means)
+
+    def jacobian(self) -> np.ndarray:
+        """d m_s / d(peak_rate, peak_time, variance), shape (168, 27).
+
+        With Gaussian factors E_sj and signed offsets u_sj of term j at
+        slot s, per component c:
+            dm_s/dA_c   = sum_{j in c} E_sj
+            dm_s/dt_c   = A_c / var_c * sum_{j in c} E_sj u_sj
+            dm_s/dvar_c = A_c / (2 var_c^2) * sum_{j in c} E_sj u_sj^2
+        """
+        weighted = self.factors * self.offsets
+        ratio = self.rates / self.variances
+        jac = np.empty((HOURS_PER_WEEK, N_PARAMETERS))
+        jac[:, 0::3] = self.factors @ _TERM_INDICATOR
+        jac[:, 1::3] = (weighted @ _TERM_INDICATOR) * ratio
+        jac[:, 2::3] = (weighted * self.offsets) @ _TERM_INDICATOR * (0.5 * ratio / self.variances)
+        return jac
 
 
-def _gradient_pieces(offsets, factors, resid, slots, amplitudes, variances):
-    """Partials of the summed squared residual w.r.t. amplitude, peak time, variance.
-
-    Residual r_i and Gaussian factors E_ij give, per component c,
-        dJ/dA_c   = 2 sum_i r_i sum_{j in c} E_ij
-        dJ/dt_c   = 2 A_c / var_c * sum_i r_i sum_{j in c} E_ij u_ij
-        dJ/dvar_c = A_c / var_c^2 * sum_i r_i sum_{j in c} E_ij u_ij^2
-    with u_ij the signed offset of term j at sample i.
-    """
-    folded = np.bincount(slots, weights=resid, minlength=HOURS_PER_WEEK)
-    weighted = factors * offsets
-    per_term = factors.T @ folded
-    per_term_u = weighted.T @ folded
-    per_term_uu = (weighted * offsets).T @ folded
-    sum_e = np.add.reduceat(per_term, _TERM_SEGMENTS)
-    sum_eu = np.add.reduceat(per_term_u, _TERM_SEGMENTS)
-    sum_euu = np.add.reduceat(per_term_uu, _TERM_SEGMENTS)
-    grad_rate = 2.0 * sum_e
-    grad_time = 2.0 * amplitudes * sum_eu / variances
-    grad_var = amplitudes * sum_euu / np.square(variances)
-    return grad_rate, grad_time, grad_var
+def _vector_jacobian(point: _SlotPoint) -> np.ndarray:
+    """Jacobian w.r.t. the transformed vector (chain rule for log-variance)."""
+    jac = point.jacobian()
+    jac[:, 2::3] *= point.variances
+    return jac
 
 
 def objective(model: WeeklyModel, data: TrafficSeries) -> float:
     """Sum of squared residuals between the model and the measurements."""
-    rates, times, variances = _model_arrays(model)
-    _, _, resid = _residual(rates, times, variances, _series_slots(data), data.values)
-    return float(resid @ resid)
+    return _SlotPoint(_SlotProblem(data), *_model_arrays(model)).value
 
 
 def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
@@ -162,17 +204,8 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
     Order: canonical component order, (peak_rate, peak_time, variance)
     within each component.
     """
-    rates, times, variances = _model_arrays(model)
-    slots = _series_slots(data)
-    offsets, factors, resid = _residual(rates, times, variances, slots, data.values)
-    grad_rate, grad_time, grad_var = _gradient_pieces(
-        offsets, factors, resid, slots, rates, variances
-    )
-    out = np.empty(N_PARAMETERS)
-    out[0::3] = grad_rate
-    out[1::3] = grad_time
-    out[2::3] = grad_var
-    return out
+    point = _SlotPoint(_SlotProblem(data), *_model_arrays(model))
+    return 2.0 * (point.jacobian().T @ point.folded)
 
 
 def init_heuristic(data: TrafficSeries) -> WeeklyModel:
@@ -208,17 +241,97 @@ def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     return WeeklyModel(components)
 
 
-def _wrap_hours(values: np.ndarray) -> np.ndarray:
-    wrapped = np.mod(values, HOURS_PER_DAY)
-    wrapped[wrapped >= HOURS_PER_DAY] = 0.0  # mod can round up to exactly 24
-    return wrapped
-
-
 def _project(x: np.ndarray) -> np.ndarray:
-    projected = x.copy()
-    projected[0::3] = np.maximum(projected[0::3], 0.0)
-    projected[2::3] = np.clip(projected[2::3], -_LOG_VARIANCE_BOUND, _LOG_VARIANCE_BOUND)
-    return projected
+    return np.clip(x, _LOWER, _UPPER)
+
+
+def _iterate(problem: _SlotProblem, x: np.ndarray, config: FitConfig, advance):
+    """Run a solver to convergence; returns (x, trace, iterations, converged).
+
+    ``advance(x, point)`` returns the next accepted (x, point), whose J
+    must not exceed the current one, or None when it finds no such point.
+    """
+    point = problem.at_vector(x)
+    trace = [point.value]
+    for _ in range(config.max_iterations):
+        accepted = advance(x, point)
+        if accepted is None:
+            break
+        drop = (point.value - accepted[1].value) / max(point.value, _STOP_FLOOR)
+        x, point = accepted
+        trace.append(point.value)
+        if drop < config.relative_tolerance:
+            return x, trace, len(trace) - 1, True
+    return x, trace, len(trace) - 1, False
+
+
+def _descent(problem: _SlotProblem, config: FitConfig):
+    """Projected gradient descent with Barzilai-Borwein trial steps."""
+    step = config.initial_step
+    previous: tuple[np.ndarray, np.ndarray] | None = None
+
+    def advance(x, point):
+        nonlocal step, previous
+        grad = 2.0 * (_vector_jacobian(point).T @ point.folded)
+        if previous is not None:
+            # Barzilai-Borwein trial step; the Armijo backtracking below
+            # still guarantees a monotone objective trace.
+            dx = x - previous[0]
+            dg = grad - previous[1]
+            curvature = float(dx @ dg)
+            if curvature > 0.0:
+                step = min(max(float(dx @ dx) / curvature, _MIN_STEP * 1e2), _MAX_STEP)
+            else:
+                step *= 2.0
+        while step >= _MIN_STEP:
+            trial = _project(x - step * grad)
+            trial_point = problem.at_vector(trial)
+            decrease = _ARMIJO_SLOPE * float(grad @ (trial - x))
+            if trial_point.value <= point.value + decrease:  # NaN trial values fail here
+                previous = (x, grad)
+                return trial, trial_point
+            step *= config.backtracking_factor
+        return None
+
+    return advance
+
+
+def _levenberg_marquardt(problem: _SlotProblem, config: FitConfig):
+    """Box-constrained Levenberg-Marquardt.
+
+    Each step solves (H_ff + lambda diag H_ff) delta = -g_f over the free
+    coordinates f, with H = J^T N J and g = J^T N (m - y) from the slot
+    Jacobian J and counts N; a coordinate on a bound whose gradient points
+    out of the box is frozen.  The trial is clipped to the box and accepted
+    only if J does not rise.
+    """
+    damping = _LM_INITIAL_DAMPING
+
+    def advance(x, point):
+        nonlocal damping
+        jac = _vector_jacobian(point)
+        grad = jac.T @ point.folded
+        free = ~(((x <= _LOWER) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
+        jac = jac[:, free]
+        hessian = jac.T @ (jac * problem.counts[:, None])
+        diagonal = np.diag(hessian)
+        diagonal = np.maximum(diagonal, _LM_DIAGONAL_FLOOR * np.max(diagonal, initial=0.0))
+        while damping <= _LM_MAX_DAMPING:
+            try:
+                delta = np.linalg.solve(hessian + np.diag(damping * diagonal), -grad[free])
+            except np.linalg.LinAlgError:
+                delta = np.nan  # a singular system fails like a NaN trial
+            trial = x.copy()
+            trial[free] += delta
+            trial = _project(trial)
+            trial_point = problem.at_vector(trial)
+            if trial_point.value <= point.value:  # NaN trial values fail here
+                damping /= _LM_DAMPING_FACTOR
+                return trial, trial_point
+            damping *= _LM_DAMPING_FACTOR
+        return None
+
+    return advance
 
 
 def fit(
@@ -230,8 +343,8 @@ def fit(
 
     Requires at least one full week of data.  The objective trace is
     reported in measurement units and is non-increasing; non-convergence
-    within ``max_iterations`` is reported via ``converged=False`` rather
-    than raised.
+    within ``max_iterations`` (or, for LM, damping past 1e16) is reported
+    via ``converged=False`` rather than raised.
     """
     if config is None:
         config = FitConfig()
@@ -245,83 +358,25 @@ def fit(
     scale = float(np.max(data.values)) if config.normalize else 1.0
     if scale <= 0.0:
         scale = 1.0
-    targets = data.values / scale
-    slots = _series_slots(data)
+    problem = _SlotProblem(data, scale)
 
     rates, times, variances = _model_arrays(start_model)
     x = np.empty(N_PARAMETERS)
     x[0::3] = rates / scale
     x[1::3] = times
     x[2::3] = np.log(variances)
-    x = _project(x)
+    solver = _levenberg_marquardt if config.method == "lm" else _descent
+    x, trace, iterations, converged = _iterate(
+        problem, _project(x), config, solver(problem, config)
+    )
 
-    def split(vec):
-        return vec[0::3], vec[1::3], np.exp(vec[2::3])
-
-    def evaluate(vec):
-        amp, tp, var = split(vec)
-        offsets, factors, resid = _residual(amp, tp, var, slots, targets)
-        return float(resid @ resid), (offsets, factors, resid, amp, var)
-
-    def gradient_from(cache):
-        offsets, factors, resid, amp, var = cache
-        grad_rate, grad_time, grad_var = _gradient_pieces(
-            offsets, factors, resid, slots, amp, var
-        )
-        grad = np.empty(N_PARAMETERS)
-        grad[0::3] = grad_rate
-        grad[1::3] = grad_time
-        grad[2::3] = grad_var * var  # chain rule for log-variance
-        return grad
-
-    current, cache = evaluate(x)
-    trace = [current]
-    iterations = 0
-    converged = False
-    step = config.initial_step
-    previous: tuple[np.ndarray, np.ndarray] | None = None
-    for _ in range(config.max_iterations):
-        grad = gradient_from(cache)
-        if previous is not None:
-            # Barzilai-Borwein trial step; the Armijo backtracking below
-            # still guarantees a monotone objective trace.
-            dx = x - previous[0]
-            dg = grad - previous[1]
-            curvature = float(dx @ dg)
-            if curvature > 0.0:
-                step = min(max(float(dx @ dx) / curvature, _MIN_STEP * 1e2), _MAX_STEP)
-            else:
-                step *= 2.0
-        accepted = False
-        while step >= _MIN_STEP:
-            trial = _project(x - step * grad)
-            trial_value, trial_cache = evaluate(trial)
-            decrease = _ARMIJO_SLOPE * float(grad @ (trial - x))
-            if trial_value <= current + decrease:  # NaN trial values fail here
-                accepted = True
-                break
-            step *= config.backtracking_factor
-        if not accepted:
-            break
-        previous = (x, grad)
-        drop = (current - trial_value) / max(current, _STOP_FLOOR)
-        x = trial
-        current = trial_value
-        cache = trial_cache
-        trace.append(current)
-        iterations += 1
-        if drop < config.relative_tolerance:
-            converged = True
-            break
-
-    amp, tp, var = split(x)
-    wrapped = _wrap_hours(tp)
+    rates, times, variances = x[0::3] * scale, x[1::3], np.exp(x[2::3])
     fitted = WeeklyModel(
         {
             comp: ComponentParams(
-                peak_rate=float(amp[i] * scale),
-                peak_time=float(wrapped[i]),
-                variance=float(var[i]),
+                peak_rate=float(rates[i]),
+                peak_time=float(times[i]),
+                variance=float(variances[i]),
             )
             for i, comp in enumerate(ComponentId)
         }

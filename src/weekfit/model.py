@@ -252,19 +252,17 @@ class TrafficSeries:
 # each, and every copy is repeated at -1/0/+1 weeks: 63 terms in total,
 # laid out in canonical component order with day then week ascending so
 # summation order is fixed.
-def _term_geometry() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _term_geometry() -> tuple[np.ndarray, np.ndarray]:
     component, shift = [], []
     for index, comp in enumerate(ComponentId):
         for day in comp.category.day_numbers:
             for week in (-1, 0, 1):
                 component.append(index)
                 shift.append(float(HOURS_PER_DAY * day + HOURS_PER_WEEK * week))
-    component = np.asarray(component, dtype=np.intp)
-    segments = np.searchsorted(component, np.arange(len(ComponentId)))
-    return component, np.asarray(shift), segments
+    return np.asarray(component, dtype=np.intp), np.asarray(shift)
 
 
-_TERM_COMPONENT, _TERM_SHIFT, _TERM_SEGMENTS = _term_geometry()
+_TERM_COMPONENT, _TERM_SHIFT = _term_geometry()
 
 # Exponents below this put exp() on a scalar slow path (results heading
 # into the subnormal range) at ~10x the cost; clamping far-tail terms here

@@ -1,8 +1,16 @@
 import json
+import threading
 
 import pytest
 
-from weekfit import bundled_model, load_model, save_model
+from weekfit import (
+    ComponentId,
+    ComponentParams,
+    WeeklyModel,
+    bundled_model,
+    load_model,
+    save_model,
+)
 from weekfit.cli import format_clock, main
 
 
@@ -15,6 +23,16 @@ def gz_path(tmp_path):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def within(seconds: float, fn, *args):
+    """fn(*args), failing if it has not returned after ``seconds``."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"{fn.__name__} did not return within {seconds}s"
+    return result[0]
 
 
 class TestFormatClock:
@@ -33,6 +51,11 @@ class TestFormatClock:
     def test_minute_rounding_carries(self):
         assert format_clock(9.9999) == "10:00"
         assert format_clock(23.9999) == "0:00 (+1d)"
+
+    def test_huge_offsets_return(self):
+        # 1e17 - 24 == 1e17 in floating point, so stepping by days never ends
+        assert within(10.0, format_clock, 1e17) == "16:00 (+4166666666666666d)"
+        assert within(10.0, format_clock, -1e17) == "8:00 (-4166666666666667d)"
 
 
 class TestSynthFitPipeline:
@@ -111,6 +134,14 @@ class TestInspect:
         assert "12:08" in lines["mw"]
         assert "19:36 - 0:45 (+1d)" in lines["ew"]
         assert "sunday" in lines["esu"]
+
+    def test_huge_variance_returns(self, tmp_path, capsys):
+        components = dict(bundled_model("guangzhou").components)
+        components[ComponentId.MW] = ComponentParams(4626.0, 12.14, 1e34)
+        path = tmp_path / "wide.json"
+        save_model(WeeklyModel(components), path)
+        assert within(10.0, run, "inspect", "--model", path) == 0
+        assert "(+4166666666666666d)" in capsys.readouterr().out
 
 
 class TestCompare:

@@ -8,6 +8,7 @@ from weekfit import (
     FitReport,
     ModelPredictor,
     SeriesTooShortError,
+    SplitSpec,
     TrafficSeries,
     WeeklyModel,
     fit,
@@ -15,6 +16,8 @@ from weekfit import (
     gradient,
     init_heuristic,
     objective,
+    predict_series,
+    split,
     write_trace_csv,
 )
 
@@ -137,6 +140,7 @@ class TestFitConfig:
         assert config.initial_step == 1.0
         assert config.backtracking_factor == 0.5
         assert config.normalize is True
+        assert config.method == "lm"
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -145,6 +149,8 @@ class TestFitConfig:
             FitConfig(relative_tolerance=0.0)
         with pytest.raises(ValueError):
             FitConfig(backtracking_factor=1.0)
+        with pytest.raises(ValueError, match="method"):
+            FitConfig(method="newton")
 
 
 class TestFitReport:
@@ -182,9 +188,16 @@ class TestFit:
 
     def test_trace_monotone_even_without_convergence(self, guangzhou):
         data = generate_synthetic(guangzhou, 1, 300.0, seed=5)
-        report = fit(data, FitConfig(max_iterations=40))
+        report = fit(data, FitConfig(max_iterations=40, method="gd"))
         assert not report.converged
         assert report.iterations == 40
+        assert np.all(np.diff(report.objective_trace) <= 0.0)
+
+    def test_lm_trace_monotone_even_without_convergence(self, guangzhou):
+        data = generate_synthetic(guangzhou, 1, 300.0, seed=5)
+        report = fit(data, FitConfig(max_iterations=3))
+        assert not report.converged
+        assert report.iterations == 3
         assert np.all(np.diff(report.objective_trace) <= 0.0)
 
     def test_trace_starts_at_init_objective(self, guangzhou):
@@ -211,6 +224,21 @@ class TestFit:
             assert params.peak_rate >= 0.0
             assert params.variance > 0.0
             assert 0.0 <= params.peak_time < 24.0
+
+    @pytest.mark.parametrize("method", ["lm", "gd"])
+    def test_model_reproduces_final_objective(self, guangzhou, method):
+        # an evening peak near midnight: had peak times been wrapped into
+        # [0, 24) only on output, the returned model would sit on other days
+        components = dict(guangzhou.components)
+        ew = components[ComponentId.EW]
+        components[ComponentId.EW] = ComponentParams(ew.peak_rate, 23.9, ew.variance)
+        truth = WeeklyModel(components)
+        noise = 0.05 * float(predict_series(truth, 168).values.max())
+        data = generate_synthetic(truth, 2, noise, seed=0)
+        report = fit(data, FitConfig(method=method))
+        assert objective(report.model, data) == pytest.approx(
+            report.objective_trace[-1], rel=1e-9
+        )
 
     def test_rejects_short_series(self):
         with pytest.raises(SeriesTooShortError):
@@ -249,3 +277,16 @@ def test_model_predictor_extrapolates_from_train_end(guangzhou):
 def test_model_predictor_requires_fit_first():
     with pytest.raises(RuntimeError):
         ModelPredictor().predict(10)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lm_reaches_gd_objective(guangzhou, seed):
+    # the relative-accuracy datasets of the acceptance suite
+    noise = 0.05 * float(predict_series(guangzhou, 168).values.max())
+    data = generate_synthetic(guangzhou, 4, noise, seed=seed)
+    train, _ = split(data, SplitSpec(train_weeks=2))
+    finals = {}
+    for method in ("lm", "gd"):
+        config = FitConfig(max_iterations=20000, relative_tolerance=1e-12, method=method)
+        finals[method] = fit(train, config).objective_trace[-1]
+    assert finals["lm"] <= finals["gd"] * (1.0 + 1e-6)
