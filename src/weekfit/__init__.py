@@ -10,6 +10,7 @@ from .dataio import (
     load_model,
     save_model,
     split,
+    training_window,
     write_series_csv,
     write_timestamp_csv,
 )
@@ -49,56 +50,5 @@ from .model import (
     week_clock_at,
     weekly_value,
 )
-
-__all__ = [
-    "BaselineKind",
-    "BaselinePredictor",
-    "ComponentId",
-    "ComponentParams",
-    "ConstantActualError",
-    "CsvFormatError",
-    "DayCategory",
-    "DayPeriod",
-    "EvalReport",
-    "FitConfig",
-    "FitReport",
-    "GapError",
-    "HOURS_PER_DAY",
-    "HOURS_PER_WEEK",
-    "ModelFormatError",
-    "ModelPredictor",
-    "RawRecord",
-    "SeriesTooShortError",
-    "SplitSpec",
-    "TrafficSeries",
-    "WeekClock",
-    "WeekfitError",
-    "WeeklyModel",
-    "aggregate_hourly",
-    "baseline_predict",
-    "bundled_model",
-    "component_value",
-    "fit",
-    "generate_synthetic",
-    "gradient",
-    "init_heuristic",
-    "load_csv",
-    "load_model",
-    "mae",
-    "mse",
-    "objective",
-    "predict_series",
-    "r2",
-    "rmse",
-    "save_model",
-    "sigma_interval",
-    "split",
-    "time_evaluation",
-    "week_clock_at",
-    "weekly_value",
-    "write_series_csv",
-    "write_timestamp_csv",
-    "write_trace_csv",
-]
 
 __version__ = "0.1.0"

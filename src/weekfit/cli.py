@@ -22,10 +22,11 @@ from .dataio import (
     load_model,
     save_model,
     split,
+    training_window,
     write_series_csv,
     write_timestamp_csv,
 )
-from .errors import SeriesTooShortError, WeekfitError
+from .errors import WeekfitError
 from .estimator import FitConfig, ModelPredictor, fit, write_trace_csv
 from .metrics import EvalReport, time_evaluation
 from .model import (
@@ -92,12 +93,7 @@ def _load_series(path, train_weeks: int):
 
 def _cmd_fit(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
-    n_train = args.train_weeks * HOURS_PER_WEEK
-    if len(series) < n_train:
-        raise SeriesTooShortError(
-            f"need {n_train} samples for {args.train_weeks} training weeks, got {len(series)}"
-        )
-    train = series if len(series) == n_train else split(series, spec)[0]
+    train = training_window(series, spec)
     config = FitConfig(
         max_iterations=args.max_iterations,
         relative_tolerance=args.tolerance,
@@ -223,12 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_fit_flags(p):
-        p.add_argument("--max-iterations", type=int, default=5000)
-        p.add_argument("--tolerance", type=float, default=1e-8)
+        p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
+        p.add_argument("--tolerance", type=float, default=FitConfig.relative_tolerance)
 
     p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--train-weeks", type=int, default=2)
+    p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write the objective trajectory CSV here")
     p.add_argument("--svg", help="write an objective-trajectory plot here")
@@ -246,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="score a saved model on the test split")
     p.add_argument("--model", required=True)
     p.add_argument("--input", required=True)
-    p.add_argument("--train-weeks", type=int, default=2)
+    p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true", help="include elapsed times")
     p.set_defaults(handler=_cmd_evaluate)
@@ -265,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="fitted model vs baselines on the test split")
     p.add_argument("--input", required=True)
-    p.add_argument("--train-weeks", type=int, default=2)
+    p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
     p.add_argument("--csv", help="also write the comparison table as CSV")
     add_fit_flags(p)
     p.set_defaults(handler=_cmd_compare)

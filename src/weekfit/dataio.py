@@ -87,6 +87,13 @@ def load_csv(source) -> list[RawRecord]:
 def _parse_csv(handle) -> list[RawRecord]:
     reader = csv.reader(handle)
     try:
+        return _parse_rows(reader)
+    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+        raise CsvFormatError(reader.line_num, str(exc)) from None
+
+
+def _parse_rows(reader) -> list[RawRecord]:
+    try:
         header = next(reader)
     except StopIteration:
         raise CsvFormatError(1, "missing header row") from None
@@ -146,17 +153,26 @@ def aggregate_hourly(records: list[RawRecord], spec: SplitSpec | None = None) ->
     return TrafficSeries(np.array([buckets[h] for h in hours]), start)
 
 
-def split(series: TrafficSeries, spec: SplitSpec | None = None) -> tuple[TrafficSeries, TrafficSeries]:
-    """First ``train_weeks`` whole weeks as train, the remainder as test."""
+def training_window(series: TrafficSeries, spec: SplitSpec | None = None) -> TrafficSeries:
+    """The first ``train_weeks`` whole weeks; a shorter series raises SeriesTooShortError."""
     if spec is None:
         spec = SplitSpec()
     n_train = spec.train_weeks * HOURS_PER_WEEK
-    if len(series) <= n_train:
+    if len(series) < n_train:
         raise SeriesTooShortError(
-            f"need more than {n_train} samples to split off "
-            f"{spec.train_weeks} training weeks, got {len(series)}"
+            f"need {n_train} samples for {spec.train_weeks} training weeks, got {len(series)}"
         )
-    return series.window(0, n_train), series.window(n_train, len(series))
+    return series.window(0, n_train)
+
+
+def split(series: TrafficSeries, spec: SplitSpec | None = None) -> tuple[TrafficSeries, TrafficSeries]:
+    """``training_window`` as train, the remainder (at least one sample) as test."""
+    train = training_window(series, spec)
+    if len(series) == len(train):
+        raise SeriesTooShortError(
+            f"no samples left to test on after {len(train)} training samples"
+        )
+    return train, series.window(len(train), len(series))
 
 
 def save_model(model: WeeklyModel, path) -> None:
@@ -166,11 +182,7 @@ def save_model(model: WeeklyModel, path) -> None:
     ``load_model(save_model(m)) == m`` exactly.
     """
     payload = {
-        comp.value: {
-            "peak_rate": model[comp].peak_rate,
-            "peak_time": model[comp].peak_time,
-            "variance": model[comp].variance,
-        }
+        comp.value: {name: getattr(model[comp], name) for name in _PARAM_FIELDS}
         for comp in ComponentId
     }
     with open(path, "w") as handle:
@@ -183,7 +195,7 @@ def load_model(path) -> WeeklyModel:
     with open(path) as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ModelFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ModelFormatError("model file must contain a JSON object")
@@ -210,9 +222,12 @@ def load_model(path) -> WeeklyModel:
             value = entry[name]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ModelFormatError(f"{comp.value}.{name} must be a number")
-            if not math.isfinite(value):
+            try:
+                values[name] = float(value)
+            except OverflowError:  # an integer beyond the float range
+                values[name] = math.inf
+            if not math.isfinite(values[name]):
                 raise ModelFormatError(f"{comp.value}.{name} must be finite")
-            values[name] = float(value)
         try:
             components[comp] = ComponentParams(**values)
         except ValueError as exc:

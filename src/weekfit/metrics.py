@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Protocol
 
 import numpy as np
@@ -120,15 +120,11 @@ class EvalReport:
         return json.dumps(self.as_dict(include_timing), indent=2)
 
     @staticmethod
-    def csv_header(include_timing: bool = True) -> list[str]:
-        fields = ["mse", "rmse", "mae", "r2", "n_samples"]
-        if include_timing:
-            fields += ["elapsed_train_seconds", "elapsed_predict_seconds"]
-        return fields
+    def csv_header() -> list[str]:
+        return [field.name for field in fields(EvalReport)]
 
-    def csv_row(self, include_timing: bool = True) -> list[str]:
-        values = self.as_dict(include_timing)
-        return [repr(values[name]) for name in self.csv_header(include_timing)]
+    def csv_row(self) -> list[str]:
+        return [repr(getattr(self, name)) for name in self.csv_header()]
 
 
 class Predictor(Protocol):

@@ -11,6 +11,7 @@ one wrapped copy of the week on either side, so the profile is exactly
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -71,36 +72,15 @@ class ComponentId(enum.Enum):
 
     @property
     def category(self) -> DayCategory:
-        return _COMPONENT_CATEGORY[self]
+        return _COMPONENT_LAYOUT[self][0]
 
     @property
     def period(self) -> DayPeriod:
-        return _COMPONENT_PERIOD[self]
+        return _COMPONENT_LAYOUT[self][1]
 
 
-_COMPONENT_CATEGORY = {
-    ComponentId.MW: DayCategory.WEEKDAY,
-    ComponentId.AW: DayCategory.WEEKDAY,
-    ComponentId.EW: DayCategory.WEEKDAY,
-    ComponentId.MSA: DayCategory.SATURDAY,
-    ComponentId.ASA: DayCategory.SATURDAY,
-    ComponentId.ESA: DayCategory.SATURDAY,
-    ComponentId.MSU: DayCategory.SUNDAY,
-    ComponentId.ASU: DayCategory.SUNDAY,
-    ComponentId.ESU: DayCategory.SUNDAY,
-}
-
-_COMPONENT_PERIOD = {
-    ComponentId.MW: DayPeriod.MORNING,
-    ComponentId.AW: DayPeriod.AFTERNOON,
-    ComponentId.EW: DayPeriod.EVENING,
-    ComponentId.MSA: DayPeriod.MORNING,
-    ComponentId.ASA: DayPeriod.AFTERNOON,
-    ComponentId.ESA: DayPeriod.EVENING,
-    ComponentId.MSU: DayPeriod.MORNING,
-    ComponentId.ASU: DayPeriod.AFTERNOON,
-    ComponentId.ESU: DayPeriod.EVENING,
-}
+# (category, period) of each component, following the canonical order above.
+_COMPONENT_LAYOUT = dict(zip(ComponentId, itertools.product(DayCategory, DayPeriod)))
 
 
 @dataclass(frozen=True)
@@ -292,18 +272,6 @@ def _gaussian_terms(
     return offsets, factors
 
 
-def _weekly_values(
-    rates: np.ndarray,
-    times: np.ndarray,
-    variances: np.ndarray,
-    days: np.ndarray,
-    hours: np.ndarray,
-) -> np.ndarray:
-    base = np.asarray(hours, dtype=float) - HOURS_PER_DAY * np.asarray(days, dtype=float)
-    _, factors = _gaussian_terms(times, variances, base)
-    return factors @ rates[_TERM_COMPONENT]
-
-
 # ``base`` for the 168 distinct week positions: hourly series only ever
 # sample these, so grid evaluation works on one week and gathers by slot.
 _SLOT_BASE = (
@@ -312,9 +280,10 @@ _SLOT_BASE = (
 )
 
 
-def _slot_values(rates: np.ndarray, times: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Model values at each of the 168 week slots (Monday 00:00 first)."""
-    _, factors = _gaussian_terms(times, variances, _SLOT_BASE)
+def _values_at(model: WeeklyModel, base: np.ndarray) -> np.ndarray:
+    """Model values at each ``base`` (``hour - 24*day``), e.g. ``_SLOT_BASE``."""
+    rates, times, variances = _model_arrays(model)
+    _, factors = _gaussian_terms(times, variances, base)
     return factors @ rates[_TERM_COMPONENT]
 
 
@@ -329,11 +298,8 @@ def component_value(params: ComponentParams, offset: float) -> float:
 
 def weekly_value(model: WeeklyModel, clock: WeekClock) -> float:
     """Modeled traffic rate at one position in the week (sum of all 63 terms)."""
-    rates, times, variances = _model_arrays(model)
-    result = _weekly_values(
-        rates, times, variances, np.array([clock.day]), np.array([clock.hour])
-    )
-    return float(result[0])
+    base = np.array([clock.hour - HOURS_PER_DAY * clock.day])
+    return float(_values_at(model, base)[0])
 
 
 def predict_series(
@@ -358,8 +324,7 @@ def predict_series(
         + int(start_clock.hour)
     )
     counters = first + np.arange(n_hours)
-    rates, times, variances = _model_arrays(model)
-    per_slot = _slot_values(rates, times, variances)
+    per_slot = _values_at(model, _SLOT_BASE)
     return TrafficSeries(per_slot[counters % HOURS_PER_WEEK], first)
 
 

@@ -185,6 +185,23 @@ class TestErrorPaths:
         bad.write_text("{}")
         assert run("inspect", "--model", bad) == 1
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"mw": {"peak_rate": 1' + "0" * 400 + "}}", "[" * 100_000],
+        ids=["integer-beyond-float", "deep-nesting"],
+    )
+    def test_malformed_model_json(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert run("inspect", "--model", bad) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_oversize_csv_cell(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("timestamp,value\n2024-01-01T00:00:00," + "1" * 200_000 + "\n")
+        assert run("fit", "--input", data, "--out", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 1
         assert capsys.readouterr().err != ""

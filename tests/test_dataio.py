@@ -25,6 +25,7 @@ from weekfit import (
     load_model,
     save_model,
     split,
+    training_window,
     write_series_csv,
     write_timestamp_csv,
 )
@@ -79,6 +80,14 @@ class TestLoadCsv:
     def test_bad_value(self):
         with pytest.raises(CsvFormatError, match="value"):
             load_csv(io.StringIO("timestamp,value\n2013-11-04T00:00:00,many\n"))
+
+    def test_oversize_cell_names_line(self):
+        # csv.reader refuses cells over 131,072 characters
+        wide = "2013-11-04T01:00:00," + "1" * 200_000
+        stream = io.StringIO(f"timestamp,value\n2013-11-04T00:00:00,3\n{wide}\n")
+        with pytest.raises(CsvFormatError, match="line 3") as info:
+            load_csv(stream)
+        assert info.value.line == 3
 
     def test_from_path(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -160,6 +169,13 @@ class TestSplit:
         with pytest.raises(SeriesTooShortError):
             split(series, SplitSpec(train_weeks=2))
 
+    def test_training_window_accepts_exact_length(self):
+        series = TrafficSeries(np.arange(1.0, 337.0), 5)
+        assert training_window(series, SplitSpec(train_weeks=2)) == series
+        assert len(training_window(series, SplitSpec(train_weeks=1))) == 168
+        with pytest.raises(SeriesTooShortError):
+            training_window(series.window(0, 335), SplitSpec(train_weeks=2))
+
     def test_partition_reassembles(self):
         rng = np.random.default_rng(2)
         series = TrafficSeries(rng.uniform(0, 9, 400), 7)
@@ -230,6 +246,19 @@ class TestModelPersistence:
         save_model(guangzhou, path)
         path.write_text(path.read_text().replace("4626.0", "NaN"))
         with pytest.raises(ModelFormatError, match="finite"):
+            load_model(path)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path, guangzhou):
+        path = tmp_path / "model.json"
+        save_model(guangzhou, path)
+        path.write_text(path.read_text().replace("4626.0", "1" + "0" * 400))
+        with pytest.raises(ModelFormatError, match="mw.peak_rate must be finite"):
+            load_model(path)
+
+    def test_deep_nesting_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ModelFormatError, match="invalid JSON"):
             load_model(path)
 
     def test_invariant_violation_reported(self, tmp_path, guangzhou):

@@ -9,6 +9,7 @@ from weekfit import (
     ComponentId,
     ComponentParams,
     DayCategory,
+    DayPeriod,
     TrafficSeries,
     WeekClock,
     WeeklyModel,
@@ -70,6 +71,15 @@ class TestTaxonomy:
     def test_each_component_has_one_category_period_pair(self):
         pairs = {(c.category, c.period) for c in ComponentId}
         assert len(pairs) == 9
+
+    def test_exact_layout_in_canonical_order(self):
+        W, SA, SU = DayCategory.WEEKDAY, DayCategory.SATURDAY, DayCategory.SUNDAY
+        M, A, E = DayPeriod.MORNING, DayPeriod.AFTERNOON, DayPeriod.EVENING
+        assert [(c.value, c.category, c.period) for c in ComponentId] == [
+            ("mw", W, M), ("aw", W, A), ("ew", W, E),
+            ("msa", SA, M), ("asa", SA, A), ("esa", SA, E),
+            ("msu", SU, M), ("asu", SU, A), ("esu", SU, E),
+        ]
 
     def test_day_numbers(self):
         assert DayCategory.WEEKDAY.day_numbers == (1, 2, 3, 4, 5)
