@@ -13,6 +13,7 @@ from .dataio import (
     training_window,
     write_series_csv,
     write_timestamp_csv,
+    write_trace_csv,
 )
 from .errors import (
     ConstantActualError,
@@ -30,7 +31,6 @@ from .estimator import (
     gradient,
     init_heuristic,
     objective,
-    write_trace_csv,
 )
 from .metrics import EvalReport, mae, mse, r2, rmse, time_evaluation
 from .model import (

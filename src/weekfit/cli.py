@@ -10,12 +10,12 @@ deterministic as well.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 
 from .baselines import BaselineKind, BaselinePredictor
 from .dataio import (
+    _write_csv,
     SplitSpec,
     aggregate_hourly,
     load_csv,
@@ -25,9 +25,10 @@ from .dataio import (
     training_window,
     write_series_csv,
     write_timestamp_csv,
+    write_trace_csv,
 )
 from .errors import WeekfitError
-from .estimator import FitConfig, ModelPredictor, fit, write_trace_csv
+from .estimator import FitConfig, ModelPredictor, fit
 from .metrics import EvalReport, time_evaluation
 from .model import (
     ComponentId,
@@ -202,11 +203,8 @@ def _cmd_compare(args) -> int:
     ]
     _print_table(header, rows)
     if args.csv:
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["predictor"] + EvalReport.csv_header())
-            for name, r in reports:
-                writer.writerow([name] + r.csv_row())
+        csv_rows = ([name] + r.csv_row() for name, r in reports)
+        _write_csv(args.csv, ["predictor"] + EvalReport.csv_header(), csv_rows)
         print(f"wrote {args.csv}")
     return 0
 

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -100,9 +101,10 @@ def _parse_rows(reader) -> list[RawRecord]:
     if [cell.strip() for cell in header] != ["timestamp", "value"]:
         raise CsvFormatError(1, f"expected header 'timestamp,value', got {','.join(header)!r}")
     records = []
-    for line, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        line = reader.line_num  # physical line: quoted cells may span lines
         if len(row) != 2:
             raise CsvFormatError(line, f"expected 2 columns, got {len(row)}")
         try:
@@ -248,27 +250,32 @@ def bundled_model(name: str) -> WeeklyModel:
         return load_model(path)
 
 
+def _write_csv(path, header: list[str], rows: Iterable) -> None:
+    """Write a header row and then ``rows``, with the csv module's CRLF line ends."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_series_csv(series: TrafficSeries, path) -> None:
     """Write a series as ``week,day_k,hour,value`` rows."""
-    weeks = series.week_indices()
-    days = series.day_indices()
-    hours = series.hour_indices()
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["week", "day_k", "hour", "value"])
-        for i, value in enumerate(series.values):
-            writer.writerow([weeks[i], days[i], hours[i], repr(float(value))])
+    columns = (series.week_indices(), series.day_indices(), series.hour_indices())
+    rows = zip(*(c.tolist() for c in columns), map(repr, series.values.tolist()))
+    _write_csv(path, ["week", "day_k", "hour", "value"], rows)
 
 
-def write_timestamp_csv(series: TrafficSeries, path, epoch: datetime = SYNTH_EPOCH) -> None:
+def write_timestamp_csv(series: TrafficSeries, path) -> None:
     """Write a series in the ingestion format (``timestamp,value``).
 
-    Hour counter 0 maps to ``epoch``, which must fall on the configured
-    week-start day for round-trips to preserve the week clock.
+    Hour counter 0 maps to ``SYNTH_EPOCH``, a Monday, so round-trips with
+    the default week start preserve the week clock.
     """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["timestamp", "value"])
-        for i, value in enumerate(series.values):
-            stamp = epoch + timedelta(hours=series.start + i)
-            writer.writerow([stamp.isoformat(), repr(float(value))])
+    stamps = (SYNTH_EPOCH + timedelta(hours=hour) for hour in series.hour_counters().tolist())
+    rows = zip(map(datetime.isoformat, stamps), map(repr, series.values.tolist()))
+    _write_csv(path, ["timestamp", "value"], rows)
+
+
+def write_trace_csv(trace: Sequence[float], path) -> None:
+    """Write the objective trajectory as a two-column CSV (iteration, J)."""
+    _write_csv(path, ["iteration", "J"], ((i, repr(float(value))) for i, value in enumerate(trace)))

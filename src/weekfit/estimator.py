@@ -26,10 +26,8 @@ trace is non-increasing.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from .model import (
     _TERM_COMPONENT,
     _gaussian_terms,
     _model_arrays,
+    _model_from_arrays,
     ComponentId,
     ComponentParams,
     DayCategory,
@@ -92,17 +91,12 @@ class FitConfig:
     ``method`` picks the solver: ``"lm"`` (Levenberg-Marquardt, default) or
     ``"gd"`` (projected gradient descent).  ``relative_tolerance`` applies to
     the per-iteration objective drop |dJ| / max(J, 1e-12).
-    ``initial_step`` (the first trial step in normalized units) and
-    ``backtracking_factor`` apply to ``"gd"`` only.  With ``normalize`` on,
-    data and amplitudes are divided by the data maximum before fitting so
-    one step size serves traffic rates of any magnitude.
+    ``backtracking_factor`` applies to ``"gd"`` only.
     """
 
     max_iterations: int = 5000
     relative_tolerance: float = 1e-8
-    initial_step: float = 1.0
     backtracking_factor: float = 0.5
-    normalize: bool = True
     method: str = "lm"
 
     def __post_init__(self):
@@ -110,8 +104,6 @@ class FitConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.relative_tolerance > 0.0:
             raise ValueError(f"relative_tolerance must be > 0, got {self.relative_tolerance}")
-        if not self.initial_step > 0.0:
-            raise ValueError(f"initial_step must be > 0, got {self.initial_step}")
         if not 0.0 < self.backtracking_factor < 1.0:
             raise ValueError(
                 f"backtracking_factor must lie in (0, 1), got {self.backtracking_factor}"
@@ -161,8 +153,7 @@ class _SlotPoint:
     def __init__(self, problem: _SlotProblem, rates, times, variances):
         self.rates = rates
         self.variances = variances
-        self.offsets, self.factors = _gaussian_terms(times, variances, _SLOT_BASE)
-        per_slot = self.factors @ rates[_TERM_COMPONENT]
+        self.offsets, self.factors, per_slot = _gaussian_terms(rates, times, variances, _SLOT_BASE)
         resid = per_slot[problem.slots] - problem.targets
         self.value = float(resid @ resid)
         # n_s (m_s - y_s): the per-sample residuals summed per slot
@@ -267,7 +258,7 @@ def _iterate(problem: _SlotProblem, x: np.ndarray, config: FitConfig, advance):
 
 def _descent(problem: _SlotProblem, config: FitConfig):
     """Projected gradient descent with Barzilai-Borwein trial steps."""
-    step = config.initial_step
+    step = 1.0  # first trial step, in normalized units
     previous: tuple[np.ndarray, np.ndarray] | None = None
 
     def advance(x, point):
@@ -355,34 +346,20 @@ def fit(
     started = time.perf_counter()
     start_model = init if init is not None else init_heuristic(data)
 
-    scale = float(np.max(data.values)) if config.normalize else 1.0
-    if scale <= 0.0:
-        scale = 1.0
+    # Data and amplitudes are divided by the data maximum (1 for all-zero
+    # data) so one step size serves traffic rates of any magnitude.
+    scale = float(np.max(data.values)) or 1.0
     problem = _SlotProblem(data, scale)
 
     rates, times, variances = _model_arrays(start_model)
-    x = np.empty(N_PARAMETERS)
-    x[0::3] = rates / scale
-    x[1::3] = times
-    x[2::3] = np.log(variances)
+    x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()
     solver = _levenberg_marquardt if config.method == "lm" else _descent
     x, trace, iterations, converged = _iterate(
         problem, _project(x), config, solver(problem, config)
     )
 
-    rates, times, variances = x[0::3] * scale, x[1::3], np.exp(x[2::3])
-    fitted = WeeklyModel(
-        {
-            comp: ComponentParams(
-                peak_rate=float(rates[i]),
-                peak_time=float(times[i]),
-                variance=float(variances[i]),
-            )
-            for i, comp in enumerate(ComponentId)
-        }
-    )
     return FitReport(
-        model=fitted,
+        model=_model_from_arrays(x[0::3] * scale, x[1::3], np.exp(x[2::3])),
         objective_trace=np.asarray(trace) * scale * scale,
         iterations=iterations,
         elapsed_seconds=time.perf_counter() - started,
@@ -390,26 +367,16 @@ def fit(
     )
 
 
-def write_trace_csv(trace: Sequence[float], path) -> None:
-    """Write the objective trajectory as a two-column CSV (iteration, J)."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["iteration", "J"])
-        for i, value in enumerate(trace):
-            writer.writerow([i, repr(float(value))])
-
-
 class ModelPredictor:
     """Fit-then-extrapolate adapter around :func:`fit` and :func:`predict_series`."""
 
-    def __init__(self, config: FitConfig | None = None, init: WeeklyModel | None = None):
+    def __init__(self, config: FitConfig | None = None):
         self.config = config
-        self.init = init
         self.report: FitReport | None = None
         self._origin: int | None = None
 
     def fit(self, train: TrafficSeries) -> None:
-        self.report = fit(train, self.config, self.init)
+        self.report = fit(train, self.config)
         self._origin = train.end
 
     def predict(self, n_hours: int) -> TrafficSeries:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Protocol
 
 import numpy as np
@@ -104,16 +104,9 @@ class EvalReport:
         )
 
     def as_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "mae": self.mae,
-            "r2": self.r2,
-            "n_samples": self.n_samples,
-        }
-        if include_timing:
-            out["elapsed_train_seconds"] = self.elapsed_train_seconds
-            out["elapsed_predict_seconds"] = self.elapsed_predict_seconds
+        out = asdict(self)
+        if not include_timing:
+            del out["elapsed_train_seconds"], out["elapsed_predict_seconds"]
         return out
 
     def to_json(self, include_timing: bool = True) -> str:

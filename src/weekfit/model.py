@@ -258,18 +258,23 @@ def _model_arrays(model: WeeklyModel) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return rates, times, variances
 
 
-def _gaussian_terms(
-    times: np.ndarray, variances: np.ndarray, base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-term offsets and Gaussian factors.
+def _model_from_arrays(rates, times, variances) -> WeeklyModel:
+    """Inverse of ``_model_arrays``."""
+    return WeeklyModel(dict(zip(ComponentId, map(ComponentParams, rates, times, variances))))
 
-    ``base`` holds ``hour - 24*day`` per sample; the returned arrays have
-    shape (n_samples, 63).
+
+def _gaussian_terms(
+    rates: np.ndarray, times: np.ndarray, variances: np.ndarray, base: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-term offsets and Gaussian factors, and the model value per sample.
+
+    ``base`` holds ``hour - 24*day`` per sample; offsets and factors have
+    shape (n_samples, 63), the values shape (n_samples,).
     """
     offsets = base[:, None] + _TERM_SHIFT[None, :] - times[_TERM_COMPONENT]
     exponents = -(offsets * offsets) / (2.0 * variances[_TERM_COMPONENT])
     factors = np.exp(np.maximum(exponents, _EXP_FLOOR, out=exponents))
-    return offsets, factors
+    return offsets, factors, factors @ rates[_TERM_COMPONENT]
 
 
 # ``base`` for the 168 distinct week positions: hourly series only ever
@@ -282,9 +287,7 @@ _SLOT_BASE = (
 
 def _values_at(model: WeeklyModel, base: np.ndarray) -> np.ndarray:
     """Model values at each ``base`` (``hour - 24*day``), e.g. ``_SLOT_BASE``."""
-    rates, times, variances = _model_arrays(model)
-    _, factors = _gaussian_terms(times, variances, base)
-    return factors @ rates[_TERM_COMPONENT]
+    return _gaussian_terms(*_model_arrays(model), base)[2]
 
 
 def component_value(params: ComponentParams, offset: float) -> float:

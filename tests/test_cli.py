@@ -1,9 +1,16 @@
 import json
+import tempfile
 import threading
+from datetime import datetime, timedelta
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weekfit import (
+    HOURS_PER_WEEK,
     ComponentId,
     ComponentParams,
     WeeklyModel,
@@ -155,8 +162,9 @@ class TestCompare:
                    "--csv", table) == 0
         out = capsys.readouterr().out
         assert "weekfit" in out and "seasonal_naive" in out and "weekly_profile_mean" in out
+        header = b"predictor,mse,rmse,mae,r2,n_samples,elapsed_train_seconds,elapsed_predict_seconds"
+        assert table.read_bytes().startswith(header + b"\r\n")
         rows = table.read_text().splitlines()
-        assert rows[0].startswith("predictor,mse,rmse,mae,r2")
         fitted_mse = float(rows[1].split(",")[1])
         naive_mse = float(rows[2].split(",")[1])
         assert fitted_mse < naive_mse
@@ -216,3 +224,88 @@ class TestErrorPaths:
                    "--out", pred, "--svg", svg) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+
+
+# Fuzzing: any input ends in exit 0 (a result) or 1 (an input error), in bounded
+# time.  Sizes and corruption counts come from short lists so that a few dozen
+# examples already reach the fit and the model evaluation, not only the parsers.
+_FUZZ = settings(max_examples=50, deadline=None, derandomize=True)
+
+_bad_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "-1", "1e999", "x", '"1\n"', "2024-01-01T00:00:00", "1,2"]),
+)
+
+
+@st.composite
+def _hourly_csv(draw) -> str:
+    """Hourly ``timestamp,value`` rows with a few corrupted cells, blank rows or a gap."""
+    start = draw(st.datetimes(datetime(2000, 1, 1), datetime(2030, 1, 1)))
+    n_hours = draw(st.sampled_from([HOURS_PER_WEEK + 1, 2 * HOURS_PER_WEEK, 1, HOURS_PER_WEEK]))
+    level = draw(st.sampled_from([1e3, 0.0, 1e-300, 1e300]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.0, level, n_hours)
+    rows = [f"{(start + timedelta(hours=h)).isoformat()},{v!r}" for h, v in enumerate(values.tolist())]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        i = draw(st.integers(0, n_hours - 1))
+        rows[i] = draw(st.one_of(st.just(""), _bad_cells.map(lambda c: rows[i].split(",")[0] + "," + c)))
+    if draw(st.sampled_from([False, False, True])):
+        del rows[draw(st.integers(0, n_hours - 1))]
+    return "timestamp,value\n" + "\n".join(rows) + "\n"
+
+
+_bad_numbers = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([0, 1e-320, 1e308, 24.0, -1, None, "1", True]),
+)
+_entry = st.fixed_dictionaries(
+    {"peak_rate": st.floats(0.0, 1e6), "peak_time": st.floats(0.0, 23.99), "variance": st.floats(0.01, 50.0)}
+)
+
+
+@st.composite
+def _model_json(draw) -> str:
+    """Valid model JSON with some fields set to extreme or wrong values, dropped or added."""
+    payload = {comp.value: draw(_entry) for comp in ComponentId}
+    for _ in range(draw(st.sampled_from([0, 0, 1, 3]))):
+        entry = payload[draw(st.sampled_from(sorted(payload)))]
+        field = draw(st.sampled_from(["peak_rate", "peak_time", "variance", "extra"]))
+        if draw(st.booleans()):
+            entry[field] = draw(_bad_numbers)
+        else:
+            entry.pop(field, None)
+    if draw(st.sampled_from([False, False, True])):
+        payload.pop(draw(st.sampled_from(sorted(payload))))
+    return json.dumps(payload)
+
+
+def _exits_cleanly(*argv) -> None:
+    assert within(10.0, run, *argv) in (0, 1)
+
+
+class TestFuzz:
+    @_FUZZ
+    @given(text=st.one_of(_hourly_csv(), st.text(max_size=100).map("timestamp,value\n".__add__)))
+    def test_csv_commands(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            data, model = Path(tmp, "data.csv"), Path(tmp, "m.json")
+            data.write_text(text)
+            _exits_cleanly("fit", "--input", data, "--train-weeks", 1, "--out", model)
+            if model.exists():
+                _exits_cleanly("evaluate", "--model", model, "--input", data, "--train-weeks", 1)
+            _exits_cleanly("compare", "--input", data, "--train-weeks", 1)
+
+    @_FUZZ
+    @given(
+        text=st.one_of(_model_json(), st.text(max_size=60)),
+        weeks=st.sampled_from([1, 2, 0]),
+        noise=st.sampled_from(["1e3", "0", "1e308", "nan", "-1"]),
+    )
+    def test_model_commands(self, text, weeks, noise):
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp, "m.json")
+            model.write_text(text)
+            _exits_cleanly("inspect", "--model", model)
+            _exits_cleanly("predict", "--model", model, "--weeks", weeks, "--out", Path(tmp, "p.csv"))
+            _exits_cleanly("synth", "--model", model, "--weeks", weeks, "--noise", noise,
+                           "--out", Path(tmp, "s.csv"))

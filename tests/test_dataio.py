@@ -89,6 +89,13 @@ class TestLoadCsv:
             load_csv(stream)
         assert info.value.line == 3
 
+    def test_line_numbers_count_physical_lines(self):
+        # the quoted cell on line 2 spans two lines, so the bad row is on line 4
+        stream = io.StringIO('timestamp,value\n2024-01-01T00:00:00,"1\n"\n2024-01-01T01:00:00,-1\n')
+        with pytest.raises(CsvFormatError, match="line 4") as info:
+            load_csv(stream)
+        assert info.value.line == 4
+
     def test_from_path(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("timestamp,value\n2013-11-04T05:30:00,7.5\n")
@@ -273,13 +280,14 @@ class TestModelPersistence:
 
 class TestSeriesCsv:
     def test_series_csv_format(self, tmp_path):
-        series = TrafficSeries(np.array([1.5, 2.0]), 166)
+        series = TrafficSeries(np.array([1.5, 0.1]), 167)
         path = tmp_path / "series.csv"
         write_series_csv(series, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "week,day_k,hour,value"
-        assert lines[1] == "0,7,22,1.5"
-        assert lines[2] == "0,7,23,2.0"
+        assert path.read_bytes() == b"week,day_k,hour,value\r\n0,7,23,1.5\r\n1,1,0,0.1\r\n"
+        write_timestamp_csv(series, path)
+        assert path.read_bytes() == (
+            b"timestamp,value\r\n2024-01-07T23:00:00,1.5\r\n2024-01-08T00:00:00,0.1\r\n"
+        )
 
     def test_timestamp_csv_round_trips_through_ingestion(self, tmp_path):
         rng = np.random.default_rng(3)

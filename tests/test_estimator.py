@@ -137,9 +137,7 @@ class TestFitConfig:
         config = FitConfig()
         assert config.max_iterations == 5000
         assert config.relative_tolerance == 1e-8
-        assert config.initial_step == 1.0
         assert config.backtracking_factor == 0.5
-        assert config.normalize is True
         assert config.method == "lm"
 
     def test_validation(self):
@@ -244,24 +242,11 @@ class TestFit:
         with pytest.raises(SeriesTooShortError):
             fit(TrafficSeries(np.ones(100), 0))
 
-    def test_unnormalized_fit_still_descends(self, guangzhou):
-        data = generate_synthetic(guangzhou, 1, 0.0, seed=0)
-        rng = np.random.default_rng(10)
-        report = fit(
-            data,
-            FitConfig(max_iterations=500, normalize=False),
-            init=perturbed(guangzhou, rng, 0.02),
-        )
-        assert report.objective_trace[-1] < report.objective_trace[0]
-
 
 def test_write_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace_csv([4.0, 2.0, 1.0], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,J"
-    assert lines[1] == "0,4.0"
-    assert lines[3] == "2,1.0"
+    write_trace_csv(np.array([4.0, 2.0, 0.1]), path)
+    assert path.read_bytes() == b"iteration,J\r\n0,4.0\r\n1,2.0\r\n2,0.1\r\n"
 
 
 def test_model_predictor_extrapolates_from_train_end(guangzhou):
