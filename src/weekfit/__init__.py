@@ -1,6 +1,6 @@
 """Weekly network-traffic forecasting from Gaussian activity components."""
 
-from .baselines import BaselineKind, BaselinePredictor, baseline_predict
+from .baselines import BaselineKind, baseline_predict
 from .dataio import (
     RawRecord,
     SplitSpec,
@@ -26,13 +26,12 @@ from .errors import (
 from .estimator import (
     FitConfig,
     FitReport,
-    ModelPredictor,
     fit,
     gradient,
     init_heuristic,
     objective,
 )
-from .metrics import EvalReport, mae, mse, r2, rmse, time_evaluation
+from .metrics import EvalReport, mae, mse, r2, rmse
 from .model import (
     ComponentId,
     ComponentParams,

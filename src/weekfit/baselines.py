@@ -49,19 +49,3 @@ def baseline_predict(kind: BaselineKind, train: TrafficSeries, n_hours: int) -> 
     # and the profile mean is built from whole weeks ending at train.end.
     indices = np.arange(n_hours) % HOURS_PER_WEEK
     return TrafficSeries(profile[indices], train.end)
-
-
-class BaselinePredictor:
-    """Predictor-protocol adapter around :func:`baseline_predict`."""
-
-    def __init__(self, kind: BaselineKind):
-        self.kind = kind
-        self._train: TrafficSeries | None = None
-
-    def fit(self, train: TrafficSeries) -> None:
-        self._train = train
-
-    def predict(self, n_hours: int) -> TrafficSeries:
-        if self._train is None:
-            raise RuntimeError("predict() called before fit()")
-        return baseline_predict(self.kind, self._train, n_hours)

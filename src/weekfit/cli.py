@@ -13,7 +13,7 @@ import argparse
 import sys
 import time
 
-from .baselines import BaselineKind, BaselinePredictor
+from .baselines import BaselineKind, baseline_predict
 from .dataio import (
     _write_csv,
     SplitSpec,
@@ -28,8 +28,8 @@ from .dataio import (
     write_trace_csv,
 )
 from .errors import WeekfitError
-from .estimator import FitConfig, ModelPredictor, fit
-from .metrics import EvalReport, time_evaluation
+from .estimator import FitConfig, fit
+from .metrics import EvalReport
 from .model import (
     ComponentId,
     HOURS_PER_WEEK,
@@ -92,6 +92,14 @@ def _load_series(path, train_weeks: int):
     return series, spec
 
 
+def _score(model, test, train_seconds: float = 0.0) -> EvalReport:
+    """Forecast the test window from the week clock at its start and score it."""
+    week, clock = week_clock_at(test.start)
+    t0 = time.perf_counter()
+    values = predict_series(model, len(test), week, clock).values
+    return EvalReport.from_predictions(test.values, values, train_seconds, time.perf_counter() - t0)
+
+
 def _cmd_fit(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
     train = training_window(series, spec)
@@ -132,13 +140,7 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     series, spec = _load_series(args.input, args.train_weeks)
     _, test = split(series, spec)
-    week, clock = week_clock_at(test.start)
-    t0 = time.perf_counter()
-    prediction = predict_series(model, len(test), week, clock)
-    elapsed = time.perf_counter() - t0
-    report = EvalReport.from_predictions(
-        test.values, prediction.values, 0.0, elapsed
-    )
+    report = _score(model, test)
     if args.json:
         print(report.to_json(include_timing=args.timing))
     else:
@@ -182,12 +184,13 @@ def _cmd_compare(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
     train, test = split(series, spec)
     config = FitConfig(max_iterations=args.max_iterations, relative_tolerance=args.tolerance)
-    contenders = [
-        ("weekfit", ModelPredictor(config)),
-        ("seasonal_naive", BaselinePredictor(BaselineKind.SEASONAL_NAIVE)),
-        ("weekly_profile_mean", BaselinePredictor(BaselineKind.WEEKLY_PROFILE_MEAN)),
-    ]
-    reports = [(name, time_evaluation(p, train, test)) for name, p in contenders]
+    fitted = fit(train, config)
+    reports = [("weekfit", _score(fitted.model, test, fitted.elapsed_seconds))]
+    for kind in BaselineKind:  # baselines have no training step
+        t0 = time.perf_counter()
+        values = baseline_predict(kind, train, len(test)).values
+        report = EvalReport.from_predictions(test.values, values, 0.0, time.perf_counter() - t0)
+        reports.append((kind.value, report))
     header = ["predictor", "mse", "rmse", "mae", "r2", "train_s", "predict_s"]
     rows = [
         [

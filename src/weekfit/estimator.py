@@ -26,12 +26,13 @@ trace is non-increasing.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesTooShortError
+from .errors import SeriesTooShortError, WeekfitError
 from .model import (
     _SLOT_BASE,
     _TERM_COMPONENT,
@@ -46,8 +47,6 @@ from .model import (
     HOURS_PER_WEEK,
     TrafficSeries,
     WeeklyModel,
-    predict_series,
-    week_clock_at,
 )
 
 N_PARAMETERS = 3 * len(ComponentId)
@@ -357,6 +356,9 @@ def fit(
     x, trace, iterations, converged = _iterate(
         problem, _project(x), config, solver(problem, config)
     )
+    # The trace is reported in measurement units; trace[0] is its largest entry.
+    if not math.isfinite(trace[0] * scale * scale):
+        raise WeekfitError("J overflows the float range; the traffic values are too large")
 
     return FitReport(
         model=_model_from_arrays(x[0::3] * scale, x[1::3], np.exp(x[2::3])),
@@ -365,22 +367,3 @@ def fit(
         elapsed_seconds=time.perf_counter() - started,
         converged=converged,
     )
-
-
-class ModelPredictor:
-    """Fit-then-extrapolate adapter around :func:`fit` and :func:`predict_series`."""
-
-    def __init__(self, config: FitConfig | None = None):
-        self.config = config
-        self.report: FitReport | None = None
-        self._origin: int | None = None
-
-    def fit(self, train: TrafficSeries) -> None:
-        self.report = fit(train, self.config)
-        self._origin = train.end
-
-    def predict(self, n_hours: int) -> TrafficSeries:
-        if self.report is None or self._origin is None:
-            raise RuntimeError("predict() called before fit()")
-        week, clock = week_clock_at(self._origin)
-        return predict_series(self.report.model, n_hours, week, clock)

@@ -1,17 +1,14 @@
-"""Accuracy metrics and timed evaluation of predictors."""
+"""Accuracy metrics and the evaluation report."""
 
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, fields
-from typing import Protocol
 
 import numpy as np
 
-from .errors import ConstantActualError
-from .model import TrafficSeries
+from .errors import ConstantActualError, WeekfitError
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -28,10 +25,20 @@ def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
+def _finite(value, name: str) -> float:
+    """``value`` as a float; a result past the float range raises WeekfitError."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise WeekfitError(f"{name} overflows the float range; the values are too large")
+    return value
+
+
+# The metric functions silence numpy's overflow warning; _finite reports it.
+@np.errstate(over="ignore")
 def mse(actual, predicted) -> float:
     """Mean squared error."""
     a, p = _paired(actual, predicted)
-    return float(np.mean((a - p) ** 2))
+    return _finite(np.mean((a - p) ** 2), "mse")
 
 
 def rmse(actual, predicted) -> float:
@@ -39,12 +46,14 @@ def rmse(actual, predicted) -> float:
     return math.sqrt(mse(actual, predicted))
 
 
+@np.errstate(over="ignore")
 def mae(actual, predicted) -> float:
     """Mean absolute error."""
     a, p = _paired(actual, predicted)
-    return float(np.mean(np.abs(a - p)))
+    return _finite(np.mean(np.abs(a - p)), "mae")
 
 
+@np.errstate(over="ignore")
 def r2(actual, predicted) -> float:
     """Coefficient of determination, 1 - SS_res / SS_tot.
 
@@ -53,11 +62,11 @@ def r2(actual, predicted) -> float:
     """
     a, p = _paired(actual, predicted)
     mean = np.mean(a)  # two-pass: mean first, then deviations
-    ss_tot = float(np.sum((a - mean) ** 2))
+    ss_tot = _finite(np.sum((a - mean) ** 2), "r2")
     if ss_tot == 0.0:
         raise ConstantActualError("R2 is undefined for constant actual values")
-    ss_res = float(np.sum((a - p) ** 2))
-    return 1.0 - ss_res / ss_tot
+    ss_res = _finite(np.sum((a - p) ** 2), "r2")
+    return _finite(1.0 - ss_res / ss_tot, "r2")
 
 
 @dataclass(frozen=True)
@@ -118,38 +127,3 @@ class EvalReport:
 
     def csv_row(self) -> list[str]:
         return [repr(getattr(self, name)) for name in self.csv_header()]
-
-
-class Predictor(Protocol):
-    """Anything that trains on a series and extrapolates past its end."""
-
-    def fit(self, train: TrafficSeries) -> None: ...
-
-    def predict(self, n_hours: int) -> TrafficSeries: ...
-
-
-def time_evaluation(
-    predictor: Predictor, train: TrafficSeries, test: TrafficSeries
-) -> EvalReport:
-    """Train, predict the test window, and report accuracy with wall-clock timing.
-
-    The windows must be contiguous (test starts the hour after train ends).
-    Predictor failures propagate.
-    """
-    if test.start != train.end:
-        raise ValueError(
-            f"test window must start at hour {train.end}, got {test.start}"
-        )
-    t0 = time.perf_counter()
-    predictor.fit(train)
-    t1 = time.perf_counter()
-    prediction = predictor.predict(len(test))
-    t2 = time.perf_counter()
-    if len(prediction) != len(test) or prediction.start != test.start:
-        raise ValueError("predictor returned a misaligned series")
-    return EvalReport.from_predictions(
-        test.values,
-        prediction.values,
-        elapsed_train_seconds=t1 - t0,
-        elapsed_predict_seconds=t2 - t1,
-    )

@@ -232,6 +232,7 @@ class TrafficSeries:
 # each, and every copy is repeated at -1/0/+1 weeks: 63 terms in total,
 # laid out in canonical component order with day then week ascending so
 # summation order is fixed.
+# Offsets are hour + 24*(n_d - day) - peak_time: spill past midnight lands on the previous day.
 def _term_geometry() -> tuple[np.ndarray, np.ndarray]:
     component, shift = [], []
     for index, comp in enumerate(ComponentId):

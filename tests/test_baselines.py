@@ -3,7 +3,6 @@ import pytest
 
 from weekfit import (
     BaselineKind,
-    BaselinePredictor,
     baseline_predict,
     ComponentId,
     ComponentParams,
@@ -112,14 +111,3 @@ class TestStatisticalBehaviour:
                 perturbed = profile.copy()
                 perturbed[slot] += delta
                 assert mse(train.values, np.tile(perturbed, 2)) > base_error
-
-
-def test_baseline_predictor_adapter():
-    rng = np.random.default_rng(6)
-    train = TrafficSeries(rng.uniform(1, 9, 168), 0)
-    predictor = BaselinePredictor(BaselineKind.SEASONAL_NAIVE)
-    predictor.fit(train)
-    out = predictor.predict(24)
-    assert out.start == train.end
-    with pytest.raises(RuntimeError):
-        BaselinePredictor(BaselineKind.SEASONAL_NAIVE).predict(5)

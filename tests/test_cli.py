@@ -169,6 +169,20 @@ class TestCompare:
         naive_mse = float(rows[2].split(",")[1])
         assert fitted_mse < naive_mse
 
+    def test_noiseless_forecast_aligned(self, tmp_path, gz_path):
+        data = tmp_path / "data.csv"
+        table = tmp_path / "cmp.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 3, "--noise", 0,
+                   "--seed", 0, "--out", data) == 0
+        assert run("compare", "--input", data, "--train-weeks", 2, "--csv", table) == 0
+        rows = [line.split(",") for line in table.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["weekfit", "seasonal_naive", "weekly_profile_mean"]
+        assert all(int(row[5]) == HOURS_PER_WEEK for row in rows)
+        weekfit = rows[0]
+        # a forecast off by one hour scores far below this
+        assert float(weekfit[4]) > 0.99
+        assert float(weekfit[6]) + float(weekfit[7]) < 10.0
+
 
 class TestErrorPaths:
     def test_missing_input_file(self, gz_path):
@@ -209,6 +223,18 @@ class TestErrorPaths:
         data.write_text("timestamp,value\n2024-01-01T00:00:00," + "1" * 200_000 + "\n")
         assert run("fit", "--input", data, "--out", tmp_path / "m.json") == 1
         assert capsys.readouterr().err.startswith("error: line 2: ")
+
+    def test_overflowing_values(self, tmp_path, gz_path, capsys):
+        data = tmp_path / "huge.csv"
+        values = np.random.default_rng(0).uniform(0.0, 1e300, 360)
+        start = datetime(2024, 1, 1)
+        rows = [f"{(start + timedelta(hours=h)).isoformat()},{v!r}" for h, v in enumerate(values.tolist())]
+        data.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
+        for argv in (["fit", "--input", data, "--out", tmp_path / "m.json"],
+                     ["evaluate", "--model", gz_path, "--input", data],
+                     ["compare", "--input", data]):
+            assert run(*argv) == 1
+            assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 1

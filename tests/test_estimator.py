@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,10 @@ from weekfit import (
     ComponentParams,
     FitConfig,
     FitReport,
-    ModelPredictor,
     SeriesTooShortError,
     SplitSpec,
     TrafficSeries,
+    WeekfitError,
     WeeklyModel,
     fit,
     generate_synthetic,
@@ -242,26 +244,18 @@ class TestFit:
         with pytest.raises(SeriesTooShortError):
             fit(TrafficSeries(np.ones(100), 0))
 
+    def test_overflowing_objective_raises_without_warning(self):
+        data = TrafficSeries(np.random.default_rng(0).uniform(0.0, 1e300, 336), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeekfitError, match="overflows"):
+                fit(data)
+
 
 def test_write_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv(np.array([4.0, 2.0, 0.1]), path)
     assert path.read_bytes() == b"iteration,J\r\n0,4.0\r\n1,2.0\r\n2,0.1\r\n"
-
-
-def test_model_predictor_extrapolates_from_train_end(guangzhou):
-    data = generate_synthetic(guangzhou, 3, 0.0, seed=0)
-    train = data.window(0, 336)
-    predictor = ModelPredictor(FitConfig(max_iterations=300))
-    predictor.fit(train)
-    prediction = predictor.predict(168)
-    assert prediction.start == train.end
-    assert len(prediction) == 168
-
-
-def test_model_predictor_requires_fit_first():
-    with pytest.raises(RuntimeError):
-        ModelPredictor().predict(10)
 
 
 @pytest.mark.parametrize("seed", range(3))

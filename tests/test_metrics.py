@@ -1,5 +1,5 @@
 import math
-import time
+import warnings
 
 import numpy as np
 import pytest
@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 from weekfit import (
     ConstantActualError,
     EvalReport,
-    FitConfig,
-    ModelPredictor,
-    TrafficSeries,
-    generate_synthetic,
+    WeekfitError,
     mae,
     mse,
     r2,
     rmse,
-    time_evaluation,
 )
 
 from oracles import naive_mae, naive_mse, naive_r2, naive_rmse
@@ -152,47 +148,16 @@ class TestEvalReport:
         slim = json.loads(report.to_json(include_timing=False))
         assert "elapsed_train_seconds" not in slim
 
-
-class _LagPredictor:
-    """Repeats the last training value; enough to exercise the protocol."""
-
-    def fit(self, train):
-        self._value = float(train.values[-1])
-        self._origin = train.end
-
-    def predict(self, n_hours):
-        return TrafficSeries(np.full(n_hours, self._value), self._origin)
-
-
-class TestTimeEvaluation:
-    def test_fills_report(self):
-        rng = np.random.default_rng(3)
-        series = TrafficSeries(rng.uniform(1, 5, 400), 0)
-        train, test = series.window(0, 336), series.window(336, 400)
-        report = time_evaluation(_LagPredictor(), train, test)
-        assert report.n_samples == 64
-        assert report.elapsed_train_seconds >= 0.0
-        assert report.elapsed_predict_seconds >= 0.0
-        assert report.rmse == math.sqrt(report.mse)
-
-    def test_constant_zero_actual_raises(self):
-        train = TrafficSeries(np.zeros(336), 0)
-        test = TrafficSeries(np.zeros(64), 336)
-        with pytest.raises(ConstantActualError):
-            time_evaluation(_LagPredictor(), train, test)
-
-    def test_rejects_disjoint_windows(self):
-        train = TrafficSeries(np.ones(168), 0)
-        test = TrafficSeries(np.ones(24), 200)
-        with pytest.raises(ValueError, match="start"):
-            time_evaluation(_LagPredictor(), train, test)
-
-    def test_model_fit_within_time_budget(self, guangzhou):
-        data = generate_synthetic(guangzhou, 3, 0.0, seed=0)
-        train, test = data.window(0, 336), data.window(336, 504)
-        started = time.perf_counter()
-        report = time_evaluation(ModelPredictor(FitConfig()), train, test)
-        wall = time.perf_counter() - started
-        assert report.elapsed_train_seconds + report.elapsed_predict_seconds < 10.0
-        assert wall < 12.0
-        assert report.r2 > 0.99
+    @pytest.mark.parametrize(
+        "actual, predicted",
+        [
+            ([1e300, 2e300, 0.0], [0.0, 0.0, 0.0]),  # squared residuals overflow
+            ([1e308, -1e308], [-1e308, 1e308]),  # residuals overflow
+            ([0.0, 1e-160], [1e150, 0.0]),  # SS_res / SS_tot overflows
+        ],
+    )
+    def test_overflow_raises_without_warning(self, actual, predicted):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeekfitError, match="overflows"):
+                EvalReport.from_predictions(actual, predicted)
