@@ -2,7 +2,7 @@
 
 from .baselines import BaselineKind, baseline_predict
 from .dataio import (
-    RawRecord,
+    Readings,
     SplitSpec,
     aggregate_hourly,
     bundled_model,

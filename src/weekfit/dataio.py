@@ -6,7 +6,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -44,19 +44,28 @@ _PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
 # the default week alignment.
 SYNTH_EPOCH = datetime(2024, 1, 1)
 
+_HOUR_US = 3_600_000_000
 
-@dataclass(frozen=True)
-class RawRecord:
-    """One raw measurement: an instant and the non-negative count/rate at it."""
 
-    timestamp: datetime
-    value: float
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """Raw measurements as two columns: instants and the non-negative count/rate at each."""
+
+    timestamps: list[datetime]
+    values: np.ndarray
 
     def __post_init__(self):
-        value = float(self.value)
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"value must be finite and >= 0, got {self.value!r}")
-        object.__setattr__(self, "value", value)
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (len(self.timestamps),):
+            raise ValueError(
+                f"need one value per timestamp, got {values.size} values "
+                f"for {len(self.timestamps)} timestamps"
+            )
+        invalid = ~((values >= 0.0) & (values < np.inf))  # NaN fails both tests
+        if invalid.any():
+            raise ValueError(f"value must be finite and >= 0, got {float(values[invalid][0])!r}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -73,8 +82,8 @@ class SplitSpec:
             raise ValueError(f"unknown week_start {self.week_start!r}")
 
 
-def load_csv(source) -> list[RawRecord]:
-    """Parse a ``timestamp,value`` CSV (ISO-8601 timestamps) into records.
+def load_csv(source) -> Readings:
+    """Parse a ``timestamp,value`` CSV (ISO-8601 timestamps) into readings.
 
     Accepts a path or an open text stream.  Failures name the 1-based line
     number of the offending row.
@@ -85,7 +94,7 @@ def load_csv(source) -> list[RawRecord]:
         return _parse_csv(handle)
 
 
-def _parse_csv(handle) -> list[RawRecord]:
+def _parse_csv(handle) -> Readings:
     reader = csv.reader(handle)
     try:
         return _parse_rows(reader)
@@ -93,66 +102,99 @@ def _parse_csv(handle) -> list[RawRecord]:
         raise CsvFormatError(reader.line_num, str(exc)) from None
 
 
-def _parse_rows(reader) -> list[RawRecord]:
+def _parse_rows(reader) -> Readings:
     try:
         header = next(reader)
     except StopIteration:
         raise CsvFormatError(1, "missing header row") from None
     if [cell.strip() for cell in header] != ["timestamp", "value"]:
         raise CsvFormatError(1, f"expected header 'timestamp,value', got {','.join(header)!r}")
-    records = []
+    timestamps: list[datetime] = []
+    values: list[float] = []
+    # bound once: this loop runs per row
+    parse_time, add_time, add_value = datetime.fromisoformat, timestamps.append, values.append
+    # errors read reader.line_num, the physical line of the current row
+    # (quoted cells may span lines)
     for row in reader:
-        if not row:
-            continue
-        line = reader.line_num  # physical line: quoted cells may span lines
         if len(row) != 2:
-            raise CsvFormatError(line, f"expected 2 columns, got {len(row)}")
+            if not row:
+                continue
+            raise CsvFormatError(reader.line_num, f"expected 2 columns, got {len(row)}")
+        stamp, text = row
         try:
-            timestamp = datetime.fromisoformat(row[0].strip())
+            add_time(parse_time(stamp.strip()))
         except ValueError:
-            raise CsvFormatError(line, f"unparseable timestamp {row[0]!r}") from None
+            raise CsvFormatError(reader.line_num, f"unparseable timestamp {stamp!r}") from None
         try:
-            value = float(row[1])
+            value = float(text)
         except ValueError:
-            raise CsvFormatError(line, f"unparseable value {row[1]!r}") from None
-        try:
-            records.append(RawRecord(timestamp, value))
-        except ValueError as exc:
-            raise CsvFormatError(line, str(exc)) from None
-    return records
+            raise CsvFormatError(reader.line_num, f"unparseable value {text!r}") from None
+        if not 0.0 <= value < math.inf:
+            raise CsvFormatError(reader.line_num, f"value must be finite and >= 0, got {value!r}")
+        add_value(value)
+    return Readings(timestamps, values)
 
 
-def aggregate_hourly(records: list[RawRecord], spec: SplitSpec | None = None) -> TrafficSeries:
-    """Sum records into [h, h+1) hour buckets and assign week clocks.
+def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> TrafficSeries:
+    """Sum readings into [h, h+1) wall-clock hour buckets and assign week clocks.
 
     Order-insensitive and mass-conserving.  Any empty bucket between the
     first and last hour is a hard error naming the missing hour; nothing
-    is imputed.
+    is imputed.  Timestamps must be all naive or all carry one fixed UTC
+    offset (a ``datetime.timezone``): across an offset change the wall-clock
+    hour and the week slot would part.
     """
     if spec is None:
         spec = SplitSpec()
-    if not records:
+    if not readings.timestamps:
         raise WeekfitError("no records to aggregate")
     try:
-        # canonical accumulation order makes the result independent of the
+        # canonical accumulation order makes the sums independent of the
         # input ordering down to the last bit
-        ordered = sorted(records, key=lambda r: (r.timestamp, r.value))
+        ordered = sorted(zip(readings.timestamps, readings.values.tolist()))
     except TypeError:
         raise WeekfitError("timestamps mix naive and timezone-aware datetimes") from None
-    buckets: dict[datetime, float] = {}
-    for record in ordered:
-        key = record.timestamp.replace(minute=0, second=0, microsecond=0)
-        buckets[key] = buckets.get(key, 0.0) + record.value
-    hours = sorted(buckets)
-    one_hour = timedelta(hours=1)
-    for previous, current in zip(hours, hours[1:]):
-        expected = previous + one_hour
-        if current != expected:
-            raise GapError(f"missing hour {expected.isoformat()}")
+    stamps = [stamp for stamp, _ in ordered]
+    values = np.array([value for _, value in ordered])
+    del ordered  # its pairs are the largest allocation here; free them first
+    # one integer key per sample: the start of its hour in absolute microseconds
+    hours = np.array([t.toordinal() * HOURS_PER_DAY + t.hour for t in stamps], dtype=np.int64)
+    keys = hours * _HOUR_US - _utc_offset_us(stamps)
+    steps = np.diff(keys)
+    gaps = np.flatnonzero((steps != 0) & (steps != _HOUR_US))
+    if gaps.size:
+        before = stamps[gaps[0]].replace(minute=0, second=0, microsecond=0)
+        raise GapError(f"missing hour {(before + timedelta(hours=1)).isoformat()}")
+    # np.bincount adds each hour's values one by one in sorted order, as a
+    # running sum would; np.add.reduceat and np.sum add pairwise and differ
+    # in the last bits
+    slots = np.concatenate(([0], np.cumsum(steps != 0)))
+    sums = np.bincount(slots, weights=values)
     anchor = _WEEK_START_DAYS[spec.week_start]
-    first = hours[0]
+    first = stamps[0]
     start = ((first.weekday() - anchor) % 7) * HOURS_PER_DAY + first.hour
-    return TrafficSeries(np.array([buckets[h] for h in hours]), start)
+    return TrafficSeries(sums, start)
+
+
+def _utc_offset_us(stamps: Sequence[datetime]) -> int:
+    """The one fixed UTC offset of sorted timestamps in microseconds, 0 if naive."""
+    first = stamps[0]
+    if first.tzinfo is None:
+        return 0  # sorting has refused a mix of naive and aware timestamps
+    zones = {stamp.tzinfo for stamp in stamps}
+    for zone in zones:
+        if not isinstance(zone, timezone):
+            raise WeekfitError(
+                f"timestamps need a fixed UTC offset (datetime.timezone), got tzinfo {zone!r}"
+            )
+    if len(zones) > 1:
+        change = next(i for i, stamp in enumerate(stamps) if stamp.tzinfo != first.tzinfo)
+        before, after = stamps[change - 1], stamps[change]
+        raise WeekfitError(
+            f"timestamps carry more than one UTC offset: {before.tzname()} up to "
+            f"{before.isoformat()}, then {after.tzname()} from {after.isoformat()}"
+        )
+    return first.utcoffset() // timedelta(microseconds=1)
 
 
 def training_window(series: TrafficSeries, spec: SplitSpec | None = None) -> TrafficSeries:

@@ -35,6 +35,25 @@ def naive_weekly_value(model: WeeklyModel, day: int, hour: float) -> float:
     return total
 
 
+_DAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
+
+
+def naive_aggregate(timestamps, values, week_start: str = "monday") -> tuple[np.ndarray, int]:
+    """Hourly sums and week-clock start by the per-row dict-and-``replace`` loop.
+
+    Rows are added in (timestamp, value) order into buckets keyed by the
+    timestamp truncated to its hour; gaps are not checked.
+    """
+    buckets = {}
+    for timestamp, value in sorted(zip(timestamps, values)):
+        key = timestamp.replace(minute=0, second=0, microsecond=0)
+        buckets[key] = buckets.get(key, 0.0) + value
+    hours = sorted(buckets)
+    first = hours[0]
+    start = ((first.weekday() - _DAY_NAMES.index(week_start)) % 7) * 24 + first.hour
+    return np.array([buckets[hour] for hour in hours]), start
+
+
 def naive_objective(model: WeeklyModel, series) -> float:
     days = series.day_indices()
     hours = series.hour_indices()

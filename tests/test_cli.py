@@ -1,8 +1,9 @@
 import json
 import tempfile
 import threading
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -194,6 +195,21 @@ class TestErrorPaths:
         rows += [f"2024-01-0{1 + h // 24}T{h % 24:02d}:00:00,5" for h in range(180) if h != 50]
         data.write_text("\n".join(rows) + "\n")
         assert run("fit", "--input", data, "--out", tmp_path / "m.json") == 1
+
+    def test_mixed_utc_offsets(self, tmp_path, gz_path, capsys):
+        # three weeks of Europe/Rome hours across the 2024-03-31 change, as
+        # isoformat writes them: +01:00, then +02:00
+        rome = ZoneInfo("Europe/Rome")
+        first = datetime(2024, 3, 18, tzinfo=rome).astimezone(timezone.utc)
+        stamps = [(first + timedelta(hours=h)).astimezone(rome) for h in range(3 * HOURS_PER_WEEK)]
+        data = tmp_path / "rome.csv"
+        data.write_text("timestamp,value\n" + "".join(f"{s.isoformat()},5\n" for s in stamps))
+        capsys.readouterr()
+        assert run("fit", "--input", data, "--out", tmp_path / "m.json") == 1
+        assert run("evaluate", "--model", gz_path, "--input", data) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all("UTC+01:00 up to 2024-03-31T01:00:00+01:00, then UTC+02:00" in line for line in err)
 
     def test_too_short_series(self, tmp_path, gz_path):
         data = tmp_path / "short.csv"

@@ -1,6 +1,7 @@
 import io
 import json
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from weekfit import (
     CsvFormatError,
     GapError,
     ModelFormatError,
-    RawRecord,
+    Readings,
     SeriesTooShortError,
     SplitSpec,
     TrafficSeries,
@@ -29,6 +30,7 @@ from weekfit import (
     write_series_csv,
     write_timestamp_csv,
 )
+from oracles import naive_aggregate
 
 # transcription of the bundled Guangzhou reference set, (rate, variance, time)
 GUANGZHOU_TABLE = {
@@ -57,11 +59,13 @@ model_st = st.builds(
 
 class TestLoadCsv:
     def test_single_row(self):
-        records = load_csv(io.StringIO("timestamp,value\n2013-11-04T00:00:00,120\n"))
-        assert records == [RawRecord(datetime(2013, 11, 4), 120.0)]
+        readings = load_csv(io.StringIO("timestamp,value\n2013-11-04T00:00:00,120\n"))
+        assert readings.timestamps == [datetime(2013, 11, 4)]
+        assert readings.values.dtype == np.float64 and readings.values.tolist() == [120.0]
 
     def test_header_only(self):
-        assert load_csv(io.StringIO("timestamp,value\n")) == []
+        readings = load_csv(io.StringIO("timestamp,value\n"))
+        assert readings.timestamps == [] and readings.values.size == 0
 
     def test_missing_header(self):
         with pytest.raises(CsvFormatError, match="header"):
@@ -96,18 +100,68 @@ class TestLoadCsv:
             load_csv(stream)
         assert info.value.line == 4
 
+    @pytest.mark.parametrize("row, message", [
+        ("yesterday,1", "unparseable timestamp 'yesterday'"),
+        ("2024-01-01T01:00:00,1,2", "expected 2 columns, got 3"),
+        ("2024-01-01T01:00:00,nan", "value must be finite and >= 0, got nan"),
+    ])
+    def test_errors_after_multiline_cell_name_physical_line(self, row, message):
+        # the quoted cell on line 2 spans two lines, so the bad row is on line 4
+        stream = io.StringIO(f'timestamp,value\n2024-01-01T00:00:00,"1\n"\n{row}\n')
+        with pytest.raises(CsvFormatError) as info:
+            load_csv(stream)
+        assert info.value.line == 4
+        assert str(info.value) == f"line 4: {message}"
+
     def test_from_path(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("timestamp,value\n2013-11-04T05:30:00,7.5\n")
-        records = load_csv(path)
-        assert records[0].value == 7.5
+        readings = load_csv(path)
+        assert readings.values[0] == 7.5
+
+    def test_readings_validation(self):
+        with pytest.raises(ValueError, match="one value per timestamp"):
+            Readings([datetime(2013, 11, 4)], [1.0, 2.0])
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and >= 0"):
+                Readings([datetime(2013, 11, 4), datetime(2013, 11, 5)], [1.0, bad])
+        readings = Readings([datetime(2013, 11, 4)], [3])
+        assert readings.values.dtype == np.float64
+        assert not readings.values.flags.writeable
+
+
+def readings_of(pairs) -> Readings:
+    """Readings from (timestamp, value) pairs."""
+    return Readings([stamp for stamp, _ in pairs], [value for _, value in pairs])
+
+
+WEEK_STARTS = ["monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"]
+# aware inputs carry one offset per series; +05:30 puts the UTC hours at half past
+OFFSETS = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
+           timezone(timedelta(hours=-3)), timezone(timedelta(hours=1))]
+
+
+@st.composite
+def hourly_rows(draw):
+    """Gap-free rows over 1-12 hours: shuffled, some timestamps repeated with other values."""
+    tz = draw(st.sampled_from(OFFSETS))
+    first = datetime(2024, 1, 1, tzinfo=tz) + timedelta(hours=draw(st.integers(0, 24 * 366)))
+    # few distinct offsets within the hour, so timestamps repeat
+    within = st.sampled_from([0, 1, 599_999_999, 1_800_000_000, 3_599_999_999])
+    value = st.floats(0.0, 1e6) | st.floats(0.0, 1e-6)
+    rows = []
+    for hour in range(draw(st.integers(1, 12))):
+        for offset_us in draw(st.lists(within, min_size=1, max_size=12)):
+            stamp = first + timedelta(hours=hour, microseconds=offset_us)
+            rows.append((stamp, draw(value)))
+    return draw(st.permutations(rows))
 
 
 class TestAggregateHourly:
     def test_sums_subhourly_records(self):
-        records = [
-            RawRecord(datetime(2013, 11, 4, 0, 10 * i), float(i + 1)) for i in range(6)
-        ]
+        records = readings_of(
+            [(datetime(2013, 11, 4, 0, 10 * i), float(i + 1)) for i in range(6)]
+        )
         series = aggregate_hourly(records)
         assert len(series) == 1
         assert series.values[0] == 21.0
@@ -115,53 +169,96 @@ class TestAggregateHourly:
     def test_monday_maps_to_day_one(self):
         # 2013-11-04 is a Monday
         assert datetime(2013, 11, 4).weekday() == 0
-        series = aggregate_hourly([RawRecord(datetime(2013, 11, 4), 1.0)])
+        series = aggregate_hourly(readings_of([(datetime(2013, 11, 4), 1.0)]))
         assert series.day_indices()[0] == 1
         assert series.hour_indices()[0] == 0
 
     def test_week_start_alignment(self):
         # 2013-11-03 is a Sunday; under a Sunday-start week it becomes day 1
         series = aggregate_hourly(
-            [RawRecord(datetime(2013, 11, 3), 1.0)],
+            readings_of([(datetime(2013, 11, 3), 1.0)]),
             SplitSpec(week_start="sunday"),
         )
         assert series.day_indices()[0] == 1
 
     def test_gap_names_missing_hour(self):
-        records = [
-            RawRecord(datetime(2013, 11, 4, 4), 1.0),
-            RawRecord(datetime(2013, 11, 4, 6), 1.0),
-        ]
+        records = readings_of([
+            (datetime(2013, 11, 4, 4), 1.0),
+            (datetime(2013, 11, 4, 6), 1.0),
+        ])
         with pytest.raises(GapError, match="05:00"):
             aggregate_hourly(records)
 
     def test_order_insensitive(self):
         rng = np.random.default_rng(0)
         records = [
-            RawRecord(datetime(2013, 11, 4, h, m), float(rng.uniform(0, 5)))
+            (datetime(2013, 11, 4, h, m), float(rng.uniform(0, 5)))
             for h in range(12)
             for m in (0, 17, 45)
         ]
-        forward = aggregate_hourly(records)
+        forward = aggregate_hourly(readings_of(records))
         shuffled = list(records)
         rng.shuffle(shuffled)
-        assert aggregate_hourly(shuffled) == forward
+        assert aggregate_hourly(readings_of(shuffled)) == forward
 
     def test_conserves_total_mass(self):
         rng = np.random.default_rng(1)
-        records = [
-            RawRecord(datetime(2013, 11, 4, h, m), float(rng.uniform(0, 5)))
+        records = readings_of([
+            (datetime(2013, 11, 4, h, m), float(rng.uniform(0, 5)))
             for h in range(24)
             for m in (0, 30)
-        ]
+        ])
         series = aggregate_hourly(records)
         assert float(series.values.sum()) == pytest.approx(
-            sum(r.value for r in records), rel=1e-12
+            sum(records.values.tolist()), rel=1e-12
         )
 
     def test_empty_input(self):
         with pytest.raises(WeekfitError, match="no records"):
-            aggregate_hourly([])
+            aggregate_hourly(Readings([], []))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=hourly_rows(), week_start=st.sampled_from(WEEK_STARTS))
+    def test_matches_per_row_oracle_bit_for_bit(self, rows, week_start):
+        text = "".join(f"{stamp.isoformat()},{value!r}\n" for stamp, value in rows)
+        readings = load_csv(io.StringIO("timestamp,value\n" + text))
+        series = aggregate_hourly(readings, SplitSpec(week_start=week_start))
+        sums, start = naive_aggregate(*zip(*rows), week_start=week_start)
+        assert np.array_equal(series.values, sums)
+        assert series.start == start
+
+    def test_mixed_naive_and_aware_rejected(self):
+        records = readings_of([
+            (datetime(2013, 11, 4, 4), 1.0),
+            (datetime(2013, 11, 4, 5, tzinfo=timezone.utc), 1.0),
+        ])
+        with pytest.raises(WeekfitError, match="mix naive and timezone-aware"):
+            aggregate_hourly(records)
+
+    def test_more_than_one_utc_offset_rejected(self):
+        # two weeks of Europe/Rome hours across the 2024-03-31 change, written
+        # with isoformat's offsets: +01:00, then +02:00 from 03:00 local
+        rome = ZoneInfo("Europe/Rome")
+        first = datetime(2024, 3, 24, tzinfo=rome).astimezone(timezone.utc)
+        stamps = [(first + timedelta(hours=h)).astimezone(rome) for h in range(336)]
+        text = "".join(f"{stamp.isoformat()},1\n" for stamp in stamps)
+        readings = load_csv(io.StringIO("timestamp,value\n" + text))
+        with pytest.raises(WeekfitError) as info:
+            aggregate_hourly(readings)
+        assert str(info.value) == (
+            "timestamps carry more than one UTC offset: UTC+01:00 up to "
+            "2024-03-31T01:00:00+01:00, then UTC+02:00 from 2024-03-31T03:00:00+02:00"
+        )
+
+    def test_zone_with_changing_offset_rejected(self):
+        # aware arithmetic within one zoneinfo zone is wall-clock arithmetic,
+        # so the spring change would read as a gap at 02:00
+        rome = ZoneInfo("Europe/Rome")
+        first = datetime(2024, 3, 30, tzinfo=rome).astimezone(timezone.utc)
+        stamps = [(first + timedelta(hours=h)).astimezone(rome) for h in range(48)]
+        with pytest.raises(WeekfitError, match="fixed UTC offset") as info:
+            aggregate_hourly(Readings(stamps, np.ones(48)))
+        assert not isinstance(info.value, GapError)
 
 
 class TestSplit:
