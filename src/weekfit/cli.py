@@ -92,22 +92,26 @@ def _load_series(path, train_weeks: int):
     return series, spec
 
 
-def _score(model, test, train_seconds: float = 0.0) -> EvalReport:
-    """Forecast the test window from the week clock at its start and score it."""
-    week, clock = week_clock_at(test.start)
+def _fit_config(args) -> FitConfig:
+    return FitConfig(max_iterations=args.max_iterations, relative_tolerance=args.tolerance)
+
+
+def _model_forecast(model, test):
+    """Zero-argument forecast of the test window from the week clock at its start."""
+    return lambda: predict_series(model, len(test), *week_clock_at(test.start))
+
+
+def _score(test, forecast, train_seconds: float = 0.0) -> EvalReport:
+    """Time ``forecast()`` and score its series against the test window."""
     t0 = time.perf_counter()
-    values = predict_series(model, len(test), week, clock).values
+    values = forecast().values
     return EvalReport.from_predictions(test.values, values, train_seconds, time.perf_counter() - t0)
 
 
 def _cmd_fit(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
     train = training_window(series, spec)
-    config = FitConfig(
-        max_iterations=args.max_iterations,
-        relative_tolerance=args.tolerance,
-    )
-    report = fit(train, config)
+    report = fit(train, _fit_config(args))
     save_model(report.model, args.out)
     trace = report.objective_trace
     status = "converged" if report.converged else "not converged"
@@ -140,7 +144,7 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     series, spec = _load_series(args.input, args.train_weeks)
     _, test = split(series, spec)
-    report = _score(model, test)
+    report = _score(test, _model_forecast(model, test))
     if args.json:
         print(report.to_json(include_timing=args.timing))
     else:
@@ -183,14 +187,10 @@ def _cmd_inspect(args) -> int:
 def _cmd_compare(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
     train, test = split(series, spec)
-    config = FitConfig(max_iterations=args.max_iterations, relative_tolerance=args.tolerance)
-    fitted = fit(train, config)
-    reports = [("weekfit", _score(fitted.model, test, fitted.elapsed_seconds))]
+    fitted = fit(train, _fit_config(args))
+    reports = [("weekfit", _score(test, _model_forecast(fitted.model, test), fitted.elapsed_seconds))]
     for kind in BaselineKind:  # baselines have no training step
-        t0 = time.perf_counter()
-        values = baseline_predict(kind, train, len(test)).values
-        report = EvalReport.from_predictions(test.values, values, 0.0, time.perf_counter() - t0)
-        reports.append((kind.value, report))
+        reports.append((kind.value, _score(test, lambda: baseline_predict(kind, train, len(test)))))
     header = ["predictor", "mse", "rmse", "mae", "r2", "train_s", "predict_s"]
     rows = [
         [
@@ -219,13 +219,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_input_flags(p):
+        p.add_argument("--input", required=True)
+        p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
+
     def add_fit_flags(p):
         p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
         p.add_argument("--tolerance", type=float, default=FitConfig.relative_tolerance)
 
     p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
-    p.add_argument("--input", required=True)
-    p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
+    add_input_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--trace", help="write the objective trajectory CSV here")
     p.add_argument("--svg", help="write an objective-trajectory plot here")
@@ -242,8 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a saved model on the test split")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
+    add_input_flags(p)
     p.add_argument("--json", action="store_true")
     p.add_argument("--timing", action="store_true", help="include elapsed times")
     p.set_defaults(handler=_cmd_evaluate)
@@ -261,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_inspect)
 
     p = sub.add_parser("compare", help="fitted model vs baselines on the test split")
-    p.add_argument("--input", required=True)
-    p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
+    add_input_flags(p)
     p.add_argument("--csv", help="also write the comparison table as CSV")
     add_fit_flags(p)
     p.set_defaults(handler=_cmd_compare)
@@ -278,7 +279,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.handler(args)
-    except (WeekfitError, ValueError, OSError) as exc:
+    except (WeekfitError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal faults

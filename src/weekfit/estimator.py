@@ -198,6 +198,11 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
     return 2.0 * (point.jacobian().T @ point.folded)
 
 
+def _require_full_week(data: TrafficSeries) -> None:
+    if len(data) < HOURS_PER_WEEK:
+        raise SeriesTooShortError(f"need at least one full week (168 samples), got {len(data)}")
+
+
 def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     """Starting point from per-category day profiles.
 
@@ -205,10 +210,7 @@ def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     window; the argmax hour (earliest on ties) seeds peak_time and
     peak_rate, and every variance starts at 4 h^2.
     """
-    if len(data) < HOURS_PER_WEEK:
-        raise SeriesTooShortError(
-            f"need at least one full week (168 samples), got {len(data)}"
-        )
+    _require_full_week(data)
     days = data.day_indices()
     hours = data.hour_indices()
     profiles = {}
@@ -338,10 +340,7 @@ def fit(
     """
     if config is None:
         config = FitConfig()
-    if len(data) < HOURS_PER_WEEK:
-        raise SeriesTooShortError(
-            f"need at least one full week (168 samples), got {len(data)}"
-        )
+    _require_full_week(data)
     started = time.perf_counter()
     start_model = init if init is not None else init_heuristic(data)
 

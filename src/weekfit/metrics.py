@@ -102,9 +102,10 @@ class EvalReport:
         elapsed_predict_seconds: float = 0.0,
     ) -> "EvalReport":
         a, p = _paired(actual, predicted)
+        mean_squared = mse(a, p)
         return cls(
-            mse=mse(a, p),
-            rmse=rmse(a, p),
+            mse=mean_squared,
+            rmse=math.sqrt(mean_squared),
             mae=mae(a, p),
             r2=r2(a, p),
             n_samples=int(a.size),

@@ -111,7 +111,7 @@ class ComponentParams:
         object.__setattr__(self, "variance", var)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeeklyModel:
     """Complete parameter set: one ComponentParams per ComponentId."""
 
@@ -130,12 +130,7 @@ class WeeklyModel:
     def __getitem__(self, component: ComponentId) -> ComponentParams:
         return self.components[component]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WeeklyModel):
-            return NotImplemented
-        return dict(self.components) == dict(other.components)
-
-    def __hash__(self):
+    def __hash__(self):  # MappingProxyType itself is unhashable
         return hash(tuple(self.components[c] for c in ComponentId))
 
 
@@ -213,12 +208,6 @@ class TrafficSeries:
 
     def hour_indices(self) -> np.ndarray:
         return self.hour_counters() % HOURS_PER_DAY
-
-    def clock_at(self, i: int) -> tuple[int, WeekClock]:
-        """Week number and clock of sample ``i``."""
-        if not 0 <= i < len(self):
-            raise IndexError(f"sample index {i} out of range")
-        return week_clock_at(self.start + i)
 
     def window(self, i: int, j: int) -> "TrafficSeries":
         """Sub-series covering samples [i, j)."""

@@ -12,12 +12,19 @@ from hypothesis import strategies as st
 
 from weekfit import (
     HOURS_PER_WEEK,
+    BaselineKind,
     ComponentId,
     ComponentParams,
+    EvalReport,
+    SplitSpec,
     WeeklyModel,
+    aggregate_hourly,
+    baseline_predict,
     bundled_model,
+    load_csv,
     load_model,
     save_model,
+    split,
 )
 from weekfit.cli import format_clock, main
 
@@ -183,6 +190,13 @@ class TestCompare:
         # a forecast off by one hour scores far below this
         assert float(weekfit[4]) > 0.99
         assert float(weekfit[6]) + float(weekfit[7]) < 10.0
+        spec = SplitSpec(train_weeks=2)
+        train, test = split(aggregate_hourly(load_csv(data), spec), spec)
+        for kind, row in zip(BaselineKind, rows[1:]):
+            predicted = baseline_predict(kind, train, HOURS_PER_WEEK).values
+            expected = EvalReport.from_predictions(test.values, predicted)
+            assert row[0] == kind.value
+            assert [float(cell) for cell in row[1:5]] == [expected.mse, expected.rmse, expected.mae, expected.r2]
 
 
 class TestErrorPaths:
@@ -251,6 +265,14 @@ class TestErrorPaths:
                      ["compare", "--input", data]):
             assert run(*argv) == 1
             assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["predict", "synth"])
+    def test_oversized_horizon(self, tmp_path, gz_path, capsys, command):
+        # the allocation (about 1.19 PiB) exceeds any address space, so it
+        # is refused at once
+        assert run(command, "--model", gz_path, "--weeks", 10**12,
+                   "--out", tmp_path / "out.csv") == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 1

@@ -241,8 +241,12 @@ class TestFit:
         )
 
     def test_rejects_short_series(self):
-        with pytest.raises(SeriesTooShortError):
-            fit(TrafficSeries(np.ones(100), 0))
+        short = TrafficSeries(np.ones(100), 0)
+        with pytest.raises(SeriesTooShortError) as from_fit:
+            fit(short)
+        with pytest.raises(SeriesTooShortError) as from_init:
+            init_heuristic(short)
+        assert str(from_fit.value) == str(from_init.value)
 
     def test_overflowing_objective_raises_without_warning(self):
         data = TrafficSeries(np.random.default_rng(0).uniform(0.0, 1e300, 336), 0)

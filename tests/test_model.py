@@ -127,6 +127,11 @@ class TestWeeklyModel:
         clone = WeeklyModel({c: guangzhou[c] for c in ComponentId})
         assert clone == guangzhou
         assert clone != zero_model()
+        reversed_keys = WeeklyModel({c: guangzhou[c] for c in reversed(ComponentId)})
+        assert reversed_keys == guangzhou
+        assert hash(reversed_keys) == hash(guangzhou)
+        assert len({reversed_keys, guangzhou}) == 1
+        assert (guangzhou != "mw") is True
 
 
 class TestWeekClock:
@@ -161,9 +166,9 @@ class TestTrafficSeries:
 
     def test_clock_indexing(self):
         series = TrafficSeries(np.arange(1.0, 201.0), start=166)
-        week, clock = series.clock_at(0)
+        week, clock = week_clock_at(series.start + 0)
         assert (week, clock) == (0, WeekClock(7, 22.0))
-        week, clock = series.clock_at(2)
+        week, clock = week_clock_at(series.start + 2)
         assert (week, clock) == (1, WeekClock(1, 0.0))
         assert series.day_indices()[0] == 7
         assert series.hour_indices()[2] == 0
