@@ -16,7 +16,8 @@ log-variance in [-20, 20].
 
 - ``method="lm"`` (default): Levenberg-Marquardt (Marquardt 1963; More
   1978), damped Gauss-Newton steps on the slot Jacobian with coordinates
-  pinned on a bound frozen for the step.
+  pinned on a bound frozen for the step, and the damping driven by the
+  gain ratio (Nielsen 1999).
 - ``method="gd"``: the paper's projected gradient descent with
   Barzilai-Borwein trial steps and Armijo backtracking.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import SeriesTooShortError, WeekfitError
 from .model import (
-    _SLOT_BASE,
+    _SLOT_GRID,
     _TERM_COMPONENT,
     _gaussian_terms,
     _model_arrays,
@@ -43,6 +44,7 @@ from .model import (
     ComponentParams,
     DayCategory,
     DayPeriod,
+    DAYS_PER_WEEK,
     HOURS_PER_DAY,
     HOURS_PER_WEEK,
     TrafficSeries,
@@ -51,6 +53,7 @@ from .model import (
 
 N_PARAMETERS = 3 * len(ComponentId)
 METHODS = ("lm", "gd")
+STOP_REASONS = ("tolerance", "max_iterations", "line_search_exhausted", "damping_exhausted")
 
 # Armijo sufficient-decrease slope and the floor used in the relative
 # objective-change stop test (normalized units).
@@ -67,7 +70,6 @@ _UPPER = np.tile([np.inf, np.nextafter(HOURS_PER_DAY, 0.0), _LOG_VARIANCE_BOUND]
 # Levenberg-Marquardt damping schedule; the floor keeps the damping term
 # positive for columns that vanish (time and variance of a zero amplitude).
 _LM_INITIAL_DAMPING = 1.0
-_LM_DAMPING_FACTOR = 10.0
 _LM_MAX_DAMPING = 1e16
 _LM_DIAGONAL_FLOOR = 1e-12
 
@@ -113,13 +115,19 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of one fit: the model plus the convergence record."""
+    """Outcome of one fit: the model plus the convergence record.
+
+    ``stop_reason`` is one of ``STOP_REASONS``: ``"tolerance"`` (the fit
+    converged), ``"max_iterations"``, ``"line_search_exhausted"`` (GD found
+    no step that does not raise J) or ``"damping_exhausted"`` (LM's damping
+    passed 1e16).
+    """
 
     model: WeeklyModel
     objective_trace: np.ndarray
     iterations: int
     elapsed_seconds: float
-    converged: bool
+    stop_reason: str
 
     def __post_init__(self):
         trace = np.array(self.objective_trace, dtype=float)
@@ -127,8 +135,16 @@ class FitReport:
             raise ValueError("objective_trace must be a non-empty 1-D sequence")
         if np.any(np.diff(trace) > 0.0):
             raise ValueError("objective_trace must be non-increasing")
+        if self.stop_reason not in STOP_REASONS:
+            raise ValueError(
+                f"stop_reason must be one of {', '.join(STOP_REASONS)}, got {self.stop_reason!r}"
+            )
         trace.setflags(write=False)
         object.__setattr__(self, "objective_trace", trace)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "tolerance"
 
 
 class _SlotProblem:
@@ -138,8 +154,8 @@ class _SlotProblem:
         self.slots = data.hour_counters() % HOURS_PER_WEEK
         self.targets = data.values / scale
         self.counts = np.bincount(self.slots, minlength=HOURS_PER_WEEK).astype(float)
-        sums = np.bincount(self.slots, weights=self.targets, minlength=HOURS_PER_WEEK)
-        self.means = sums / np.maximum(self.counts, 1.0)
+        self.sums = np.bincount(self.slots, weights=self.targets, minlength=HOURS_PER_WEEK)
+        self.means = self.sums / np.maximum(self.counts, 1.0)
 
     def at_vector(self, x: np.ndarray) -> _SlotPoint:
         """The point of a transformed vector (amplitude, peak time, log-variance)."""
@@ -152,7 +168,7 @@ class _SlotPoint:
     def __init__(self, problem: _SlotProblem, rates, times, variances):
         self.rates = rates
         self.variances = variances
-        self.offsets, self.factors, per_slot = _gaussian_terms(rates, times, variances, _SLOT_BASE)
+        self.offsets, self.factors, per_slot = _gaussian_terms(rates, times, variances, _SLOT_GRID)
         resid = per_slot[problem.slots] - problem.targets
         self.value = float(resid @ resid)
         # n_s (m_s - y_s): the per-sample residuals summed per slot
@@ -206,19 +222,20 @@ def _require_full_week(data: TrafficSeries) -> None:
 def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     """Starting point from per-category day profiles.
 
-    Each category's 24-hour mean profile is scanned over the period's hour
+    Each category's 24-hour mean profile comes from the per-slot sample
+    counts and sums: over the category's days, the sum of an hour's samples
+    over their count.  The profile is scanned over the period's hour
     window; the argmax hour (earliest on ties) seeds peak_time and
     peak_rate, and every variance starts at 4 h^2.
     """
     _require_full_week(data)
-    days = data.day_indices()
-    hours = data.hour_indices()
+    problem = _SlotProblem(data)
+    counts = problem.counts.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)
+    sums = problem.sums.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)
     profiles = {}
     for category in DayCategory:
-        in_category = np.isin(days, category.day_numbers)
-        profiles[category] = np.array(
-            [data.values[in_category & (hours == h)].mean() for h in range(HOURS_PER_DAY)]
-        )
+        rows = np.asarray(category.day_numbers) - 1
+        profiles[category] = sums[rows].sum(axis=0) / counts[rows].sum(axis=0)
     components = {}
     for comp in ComponentId:
         lo, hi = _PERIOD_WINDOWS[comp.period]
@@ -234,27 +251,29 @@ def init_heuristic(data: TrafficSeries) -> WeeklyModel:
 
 
 def _project(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, _LOWER, _UPPER)
+    # the same values as np.clip, at less call overhead
+    return np.minimum(np.maximum(x, _LOWER), _UPPER)
 
 
-def _iterate(problem: _SlotProblem, x: np.ndarray, config: FitConfig, advance):
-    """Run a solver to convergence; returns (x, trace, iterations, converged).
+def _iterate(problem: _SlotProblem, x: np.ndarray, config: FitConfig, advance, exhausted: str):
+    """Run a solver until it stops; returns (x, trace, stop_reason).
 
     ``advance(x, point)`` returns the next accepted (x, point), whose J
-    must not exceed the current one, or None when it finds no such point.
+    must not exceed the current one, or None when it finds no such point;
+    the run then stops with the reason ``exhausted``.
     """
     point = problem.at_vector(x)
     trace = [point.value]
     for _ in range(config.max_iterations):
         accepted = advance(x, point)
         if accepted is None:
-            break
+            return x, trace, exhausted
         drop = (point.value - accepted[1].value) / max(point.value, _STOP_FLOOR)
         x, point = accepted
         trace.append(point.value)
         if drop < config.relative_tolerance:
-            return x, trace, len(trace) - 1, True
-    return x, trace, len(trace) - 1, False
+            return x, trace, "tolerance"
+    return x, trace, "max_iterations"
 
 
 def _descent(problem: _SlotProblem, config: FitConfig):
@@ -296,6 +315,12 @@ def _levenberg_marquardt(problem: _SlotProblem, config: FitConfig):
     Jacobian J and counts N; a coordinate on a bound whose gradient points
     out of the box is frozen.  The trial is clipped to the box and accepted
     only if J does not rise.
+
+    The damping follows the gain ratio rho, the actual drop of J over the
+    drop -2 g^T s - s^T H s that the Gauss-Newton model predicts for the
+    clipped step s (Nielsen 1999; Madsen, Nielsen & Tingleff 2004, sec.
+    3.2): an accepted step scales lambda by max(1/3, 1 - (2 rho - 1)^3), and
+    successive rejected trials scale it by 2, 4, 8, ...
     """
     damping = _LM_INITIAL_DAMPING
 
@@ -304,13 +329,15 @@ def _levenberg_marquardt(problem: _SlotProblem, config: FitConfig):
         jac = _vector_jacobian(point)
         grad = jac.T @ point.folded
         free = ~(((x <= _LOWER) & (grad > 0.0)) | ((x >= _UPPER) & (grad < 0.0)))
+        grad = grad[free]
         jac = jac[:, free]
         hessian = jac.T @ (jac * problem.counts[:, None])
         diagonal = np.diag(hessian)
         diagonal = np.maximum(diagonal, _LM_DIAGONAL_FLOOR * np.max(diagonal, initial=0.0))
+        growth = 2.0
         while damping <= _LM_MAX_DAMPING:
             try:
-                delta = np.linalg.solve(hessian + np.diag(damping * diagonal), -grad[free])
+                delta = np.linalg.solve(hessian + np.diag(damping * diagonal), -grad)
             except np.linalg.LinAlgError:
                 delta = np.nan  # a singular system fails like a NaN trial
             trial = x.copy()
@@ -318,12 +345,25 @@ def _levenberg_marquardt(problem: _SlotProblem, config: FitConfig):
             trial = _project(trial)
             trial_point = problem.at_vector(trial)
             if trial_point.value <= point.value:  # NaN trial values fail here
-                damping /= _LM_DAMPING_FACTOR
+                step = (trial - x)[free]
+                predicted = -float(step @ (2.0 * grad + hessian @ step))
+                rho = 0.0
+                if predicted > 0.0:
+                    # any rho >= 1 gives the factor of rho = 1; the cap keeps the cube finite
+                    rho = min((point.value - trial_point.value) / predicted, 1.0)
+                damping *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
                 return trial, trial_point
-            damping *= _LM_DAMPING_FACTOR
+            damping *= growth
+            growth *= 2.0
         return None
 
     return advance
+
+
+_SOLVERS = {
+    "lm": (_levenberg_marquardt, "damping_exhausted"),
+    "gd": (_descent, "line_search_exhausted"),
+}
 
 
 def fit(
@@ -335,8 +375,8 @@ def fit(
 
     Requires at least one full week of data.  The objective trace is
     reported in measurement units and is non-increasing; non-convergence
-    within ``max_iterations`` (or, for LM, damping past 1e16) is reported
-    via ``converged=False`` rather than raised.
+    within ``max_iterations``, or a solver that finds no step that does not
+    raise J, is reported through ``stop_reason`` rather than raised.
     """
     if config is None:
         config = FitConfig()
@@ -351,10 +391,8 @@ def fit(
 
     rates, times, variances = _model_arrays(start_model)
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()
-    solver = _levenberg_marquardt if config.method == "lm" else _descent
-    x, trace, iterations, converged = _iterate(
-        problem, _project(x), config, solver(problem, config)
-    )
+    solver, exhausted = _SOLVERS[config.method]
+    x, trace, stop_reason = _iterate(problem, _project(x), config, solver(problem, config), exhausted)
     # The trace is reported in measurement units; trace[0] is its largest entry.
     if not math.isfinite(trace[0] * scale * scale):
         raise WeekfitError("J overflows the float range; the traffic values are too large")
@@ -362,7 +400,7 @@ def fit(
     return FitReport(
         model=_model_from_arrays(x[0::3] * scale, x[1::3], np.exp(x[2::3])),
         objective_trace=np.asarray(trace) * scale * scale,
-        iterations=iterations,
+        iterations=len(trace) - 1,
         elapsed_seconds=time.perf_counter() - started,
-        converged=converged,
+        stop_reason=stop_reason,
     )

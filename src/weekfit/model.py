@@ -254,30 +254,36 @@ def _model_from_arrays(rates, times, variances) -> WeeklyModel:
 
 
 def _gaussian_terms(
-    rates: np.ndarray, times: np.ndarray, variances: np.ndarray, base: np.ndarray
+    rates: np.ndarray, times: np.ndarray, variances: np.ndarray, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-term offsets and Gaussian factors, and the model value per sample.
 
-    ``base`` holds ``hour - 24*day`` per sample; offsets and factors have
-    shape (n_samples, 63), the values shape (n_samples,).
+    ``grid`` holds ``hour - 24*day + _TERM_SHIFT`` per sample and term, shape
+    (n_samples, 63); offsets and factors have that shape, the values shape
+    (n_samples,).
     """
-    offsets = base[:, None] + _TERM_SHIFT[None, :] - times[_TERM_COMPONENT]
-    exponents = -(offsets * offsets) / (2.0 * variances[_TERM_COMPONENT])
-    factors = np.exp(np.maximum(exponents, _EXP_FLOOR, out=exponents))
+    offsets = grid - times[_TERM_COMPONENT]
+    # -(u*u)/(2 var) computed in place as (u*u)/(-2 var): the same bits
+    factors = np.multiply(offsets, offsets)
+    np.divide(factors, -2.0 * variances[_TERM_COMPONENT], out=factors)
+    np.maximum(factors, _EXP_FLOOR, out=factors)
+    np.exp(factors, out=factors)
     return offsets, factors, factors @ rates[_TERM_COMPONENT]
 
 
-# ``base`` for the 168 distinct week positions: hourly series only ever
-# sample these, so grid evaluation works on one week and gathers by slot.
+# ``hour - 24*day`` for the 168 distinct week positions, and their term
+# grid: hourly series only ever sample these, so grid evaluation works on
+# one week and gathers by slot.
 _SLOT_BASE = (
     np.arange(HOURS_PER_WEEK, dtype=float) % HOURS_PER_DAY
     - HOURS_PER_DAY * (np.arange(HOURS_PER_WEEK) // HOURS_PER_DAY + 1)
 )
+_SLOT_GRID = _SLOT_BASE[:, None] + _TERM_SHIFT[None, :]
 
 
-def _values_at(model: WeeklyModel, base: np.ndarray) -> np.ndarray:
-    """Model values at each ``base`` (``hour - 24*day``), e.g. ``_SLOT_BASE``."""
-    return _gaussian_terms(*_model_arrays(model), base)[2]
+def _values_at(model: WeeklyModel, grid: np.ndarray) -> np.ndarray:
+    """Model values at each row of a term ``grid``, e.g. ``_SLOT_GRID``."""
+    return _gaussian_terms(*_model_arrays(model), grid)[2]
 
 
 def component_value(params: ComponentParams, offset: float) -> float:
@@ -291,8 +297,8 @@ def component_value(params: ComponentParams, offset: float) -> float:
 
 def weekly_value(model: WeeklyModel, clock: WeekClock) -> float:
     """Modeled traffic rate at one position in the week (sum of all 63 terms)."""
-    base = np.array([clock.hour - HOURS_PER_DAY * clock.day])
-    return float(_values_at(model, base)[0])
+    grid = (clock.hour - HOURS_PER_DAY * clock.day) + _TERM_SHIFT[None, :]
+    return float(_values_at(model, grid)[0])
 
 
 def predict_series(
@@ -317,7 +323,7 @@ def predict_series(
         + int(start_clock.hour)
     )
     counters = first + np.arange(n_hours)
-    per_slot = _values_at(model, _SLOT_BASE)
+    per_slot = _values_at(model, _SLOT_GRID)
     return TrafficSeries(per_slot[counters % HOURS_PER_WEEK], first)
 
 

@@ -54,6 +54,29 @@ def naive_aggregate(timestamps, values, week_start: str = "monday") -> tuple[np.
     return np.array([buckets[hour] for hour in hours]), start
 
 
+# Hour windows searched for each period's initial peak, keyed by the
+# component name's first letter; the evening window runs past midnight.
+_PERIOD_WINDOWS = {"m": (6, 14), "a": (14, 19), "e": (19, 30)}
+
+
+def naive_init_heuristic(series) -> WeeklyModel:
+    """Starting point from 72 masked means: one per day category and hour of day.
+
+    Each component's category profile is scanned over its period window and
+    the earliest argmax hour seeds peak_time and peak_rate; variances are 4.
+    """
+    days = series.day_indices()
+    hours = series.hour_indices()
+    components = {}
+    for comp in ComponentId:
+        in_days = np.isin(days, component_days(comp))
+        profile = [series.values[in_days & (hours == h)].mean() for h in range(24)]
+        lo, hi = _PERIOD_WINDOWS[comp.value[0]]
+        best = max(range(lo, hi), key=lambda h: profile[h % 24])  # first maximum wins
+        components[comp] = ComponentParams(float(profile[best % 24]), float(best % 24), 4.0)
+    return WeeklyModel(components)
+
+
 def naive_objective(model: WeeklyModel, series) -> float:
     days = series.day_indices()
     hours = series.hour_indices()

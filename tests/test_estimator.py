@@ -2,7 +2,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weekfit import estimator
 from weekfit import (
     ComponentId,
     ComponentParams,
@@ -24,7 +27,7 @@ from weekfit import (
 )
 
 from conftest import perturbed, random_model, random_series
-from oracles import finite_difference_gradient, naive_objective
+from oracles import finite_difference_gradient, naive_init_heuristic, naive_objective
 
 
 class TestObjective:
@@ -134,6 +137,27 @@ class TestInitHeuristic:
         assert start[ComponentId.EW].peak_rate == pytest.approx(10.0)
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    n_hours=st.integers(168, 600),
+    start=st.integers(0, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+    whole=st.booleans(),
+)
+def test_init_heuristic_matches_masked_means(n_hours, start, seed, whole):
+    # whole-number traffic makes every mean exact in both summation orders,
+    # so ties between hours of a window are broken the same way
+    values = np.random.default_rng(seed).uniform(0.0, 1000.0, n_hours)
+    if whole:
+        values = np.floor(values / 100.0)
+    data = TrafficSeries(values, start)
+    got, expected = init_heuristic(data), naive_init_heuristic(data)
+    for comp in ComponentId:
+        assert got[comp].peak_time == expected[comp].peak_time, comp
+        assert got[comp].peak_rate == pytest.approx(expected[comp].peak_rate, rel=1e-12, abs=0.0)
+        assert got[comp].variance == 4.0
+
+
 class TestFitConfig:
     def test_defaults(self):
         config = FitConfig()
@@ -161,7 +185,7 @@ class TestFitReport:
                 objective_trace=np.array([1.0, 2.0]),
                 iterations=1,
                 elapsed_seconds=0.0,
-                converged=True,
+                stop_reason="tolerance",
             )
 
 
@@ -254,6 +278,70 @@ class TestFit:
             warnings.simplefilter("error")
             with pytest.raises(WeekfitError, match="overflows"):
                 fit(data)
+
+
+class TestStopReason:
+    def test_tolerance(self, guangzhou):
+        data = generate_synthetic(guangzhou, 2, 0.0, seed=0)
+        report = fit(data)
+        assert report.stop_reason == "tolerance"
+        assert report.converged
+
+    @pytest.mark.parametrize("method", ["lm", "gd"])
+    def test_max_iterations(self, guangzhou, method):
+        data = generate_synthetic(guangzhou, 1, 300.0, seed=5)
+        report = fit(data, FitConfig(max_iterations=3, method=method))
+        assert report.stop_reason == "max_iterations"
+        assert not report.converged
+        assert report.iterations == 3
+
+    @pytest.mark.parametrize(
+        "method, reason", [("lm", "damping_exhausted"), ("gd", "line_search_exhausted")]
+    )
+    def test_no_acceptable_trial(self, guangzhou, monkeypatch, method, reason):
+        # every point after the start evaluates to NaN, so no trial is accepted
+        data = generate_synthetic(guangzhou, 1, 300.0, seed=5)
+        real = estimator._SlotProblem.at_vector
+        calls = []
+
+        def nan_after_start(self, x):
+            point = real(self, x)
+            if calls:
+                point.value = float("nan")
+            calls.append(x)
+            return point
+
+        monkeypatch.setattr(estimator._SlotProblem, "at_vector", nan_after_start)
+        report = fit(data, FitConfig(method=method))
+        assert report.stop_reason == reason
+        assert not report.converged
+        assert report.iterations == 0
+        assert len(calls) > 2
+
+    def test_rejects_unknown_reason(self, guangzhou):
+        with pytest.raises(ValueError, match="stop_reason"):
+            FitReport(guangzhou, np.array([1.0]), 0, 0.0, "converged")
+
+
+def test_lm_wastes_few_trials(guangzhou, milan, monkeypatch):
+    # gain-ratio damping rejects few trial steps: about 1.2 objective
+    # evaluations per LM iteration on these fits, against about 1.66 under a
+    # tenfold up/down damping schedule
+    real = estimator._SlotProblem.at_vector
+    evaluations = 0
+
+    def counted(self, x):
+        nonlocal evaluations
+        evaluations += 1
+        return real(self, x)
+
+    monkeypatch.setattr(estimator._SlotProblem, "at_vector", counted)
+    iterations = 0
+    for truth in (guangzhou, milan):
+        noise = 0.05 * float(predict_series(truth, 168).values.max())
+        for seed in range(8):
+            iterations += fit(generate_synthetic(truth, 2, noise, seed=seed)).iterations
+    assert evaluations / iterations <= 1.35
 
 
 def test_write_trace_csv(tmp_path):

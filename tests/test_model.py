@@ -20,6 +20,14 @@ from weekfit import (
     week_clock_at,
     weekly_value,
 )
+from weekfit.model import (
+    _EXP_FLOOR,
+    _SLOT_BASE,
+    _SLOT_GRID,
+    _TERM_COMPONENT,
+    _TERM_SHIFT,
+    _gaussian_terms,
+)
 
 from conftest import random_model
 from oracles import naive_weekly_value
@@ -373,3 +381,22 @@ def test_random_models_match_brute_force_tightly():
         ours = weekly_value(model, WeekClock(day, hour))
         naive = naive_weekly_value(model, day, hour)
         assert abs(ours - naive) <= 1e-12 * naive
+
+
+def test_slot_kernel_keeps_the_broadcast_formula_bits():
+    # the precomputed grid and the in-place exponent must give exactly the
+    # bits of the plain broadcast formula -(o*o)/(2v), o = base + shift - t
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        rates = rng.uniform(0.0, 4.0, 9)
+        times = rng.uniform(0.0, 24.0, 9)
+        log_variances = rng.uniform(-20.0, 20.0, 9)
+        log_variances[:3] = rng.choice([-20.0, 20.0], 3) * (1.0 - rng.uniform(0.0, 1e-6, 3))
+        variances = np.exp(log_variances)
+        o = _SLOT_BASE[:, None] + _TERM_SHIFT - times[_TERM_COMPONENT]
+        exponents = -(o * o) / (2.0 * variances[_TERM_COMPONENT])
+        factors = np.exp(np.maximum(exponents, _EXP_FLOOR))
+        got_offsets, got_factors, got_values = _gaussian_terms(rates, times, variances, _SLOT_GRID)
+        assert np.array_equal(got_offsets, o)
+        assert np.array_equal(got_factors, factors)
+        assert np.array_equal(got_values, factors @ rates[_TERM_COMPONENT])
