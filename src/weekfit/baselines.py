@@ -6,8 +6,8 @@ import enum
 
 import numpy as np
 
-from .errors import SeriesTooShortError, WeekfitError
-from .model import HOURS_PER_WEEK, TrafficSeries
+from .errors import WeekfitError
+from .model import HOURS_PER_WEEK, TrafficSeries, _require_full_week
 
 
 class BaselineKind(enum.Enum):
@@ -29,10 +29,7 @@ def baseline_predict(kind: BaselineKind, train: TrafficSeries, n_hours: int) -> 
     """
     if n_hours < 1:
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
-    if len(train) < HOURS_PER_WEEK:
-        raise SeriesTooShortError(
-            f"baselines need at least one full week of training data, got {len(train)}"
-        )
+    _require_full_week(train)
     if kind is BaselineKind.SEASONAL_NAIVE:
         profile = train.values[-HOURS_PER_WEEK:]
     elif kind is BaselineKind.WEEKLY_PROFILE_MEAN:

@@ -6,7 +6,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -70,7 +70,13 @@ class Readings:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/test split rule: training weeks and the week-start alignment day."""
+    """Train/test split rule: training weeks and the week-start alignment day.
+
+    ``week_start`` names the calendar day counted as day 1, the first
+    weekday-category day.  Any value other than ``"monday"`` moves which
+    days the Saturday and Sunday components fit: ``"sunday"`` fits a
+    Friday-Saturday weekend.  No command-line flag sets it.
+    """
 
     train_weeks: int = 2
     week_start: str = "monday"
@@ -140,9 +146,9 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
 
     Order-insensitive and mass-conserving.  Any empty bucket between the
     first and last hour is a hard error naming the missing hour; nothing
-    is imputed.  Timestamps must be all naive or all carry one fixed UTC
-    offset (a ``datetime.timezone``): across an offset change the wall-clock
-    hour and the week slot would part.
+    is imputed.  Timestamps must be all naive or all share one UTC offset,
+    whatever their tzinfo: across an offset change the wall-clock hour and
+    the week slot would part.
     """
     if spec is None:
         spec = SplitSpec()
@@ -177,24 +183,18 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
 
 
 def _utc_offset_us(stamps: Sequence[datetime]) -> int:
-    """The one fixed UTC offset of sorted timestamps in microseconds, 0 if naive."""
-    first = stamps[0]
-    if first.tzinfo is None:
+    """The one UTC offset of sorted timestamps in microseconds, 0 if naive."""
+    offset = stamps[0].utcoffset()
+    if offset is None:
         return 0  # sorting has refused a mix of naive and aware timestamps
-    zones = {stamp.tzinfo for stamp in stamps}
-    for zone in zones:
-        if not isinstance(zone, timezone):
-            raise WeekfitError(
-                f"timestamps need a fixed UTC offset (datetime.timezone), got tzinfo {zone!r}"
-            )
-    if len(zones) > 1:
-        change = next(i for i, stamp in enumerate(stamps) if stamp.tzinfo != first.tzinfo)
+    change = next((i for i, stamp in enumerate(stamps) if stamp.utcoffset() != offset), None)
+    if change is not None:
         before, after = stamps[change - 1], stamps[change]
         raise WeekfitError(
             f"timestamps carry more than one UTC offset: {before.tzname()} up to "
             f"{before.isoformat()}, then {after.tzname()} from {after.isoformat()}"
         )
-    return first.utcoffset() // timedelta(microseconds=1)
+    return offset // timedelta(microseconds=1)
 
 
 def training_window(series: TrafficSeries, spec: SplitSpec | None = None) -> TrafficSeries:

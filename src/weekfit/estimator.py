@@ -33,13 +33,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SeriesTooShortError, WeekfitError
+from .errors import WeekfitError
 from .model import (
     _SLOT_GRID,
     _TERM_COMPONENT,
     _gaussian_terms,
     _model_arrays,
     _model_from_arrays,
+    _require_full_week,
     ComponentId,
     ComponentParams,
     DayCategory,
@@ -52,12 +53,12 @@ from .model import (
 )
 
 N_PARAMETERS = 3 * len(ComponentId)
-METHODS = ("lm", "gd")
-STOP_REASONS = ("tolerance", "max_iterations", "line_search_exhausted", "damping_exhausted")
 
-# Armijo sufficient-decrease slope and the floor used in the relative
-# objective-change stop test (normalized units).
+# Armijo sufficient-decrease slope, the factor each rejected GD trial step
+# is multiplied by, and the floor used in the relative objective-change
+# stop test (normalized units).
 _ARMIJO_SLOPE = 1e-4
+_BACKTRACKING_FACTOR = 0.5
 _STOP_FLOOR = 1e-12
 _MIN_STEP = 1e-20
 _MAX_STEP = 1e10
@@ -92,12 +93,10 @@ class FitConfig:
     ``method`` picks the solver: ``"lm"`` (Levenberg-Marquardt, default) or
     ``"gd"`` (projected gradient descent).  ``relative_tolerance`` applies to
     the per-iteration objective drop |dJ| / max(J, 1e-12).
-    ``backtracking_factor`` applies to ``"gd"`` only.
     """
 
     max_iterations: int = 5000
     relative_tolerance: float = 1e-8
-    backtracking_factor: float = 0.5
     method: str = "lm"
 
     def __post_init__(self):
@@ -105,12 +104,8 @@ class FitConfig:
             raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if not self.relative_tolerance > 0.0:
             raise ValueError(f"relative_tolerance must be > 0, got {self.relative_tolerance}")
-        if not 0.0 < self.backtracking_factor < 1.0:
-            raise ValueError(
-                f"backtracking_factor must lie in (0, 1), got {self.backtracking_factor}"
-            )
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
+        if self.method not in _SOLVERS:
+            raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,6 @@ class FitReport:
 
     model: WeeklyModel
     objective_trace: np.ndarray
-    iterations: int
     elapsed_seconds: float
     stop_reason: str
 
@@ -141,6 +135,11 @@ class FitReport:
             )
         trace.setflags(write=False)
         object.__setattr__(self, "objective_trace", trace)
+
+    @property
+    def iterations(self) -> int:
+        """Accepted steps: one less than the trace length."""
+        return self.objective_trace.size - 1
 
     @property
     def converged(self) -> bool:
@@ -214,11 +213,6 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
     return 2.0 * (point.jacobian().T @ point.folded)
 
 
-def _require_full_week(data: TrafficSeries) -> None:
-    if len(data) < HOURS_PER_WEEK:
-        raise SeriesTooShortError(f"need at least one full week (168 samples), got {len(data)}")
-
-
 def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     """Starting point from per-category day profiles.
 
@@ -276,7 +270,7 @@ def _iterate(problem: _SlotProblem, x: np.ndarray, config: FitConfig, advance, e
     return x, trace, "max_iterations"
 
 
-def _descent(problem: _SlotProblem, config: FitConfig):
+def _descent(problem: _SlotProblem):
     """Projected gradient descent with Barzilai-Borwein trial steps."""
     step = 1.0  # first trial step, in normalized units
     previous: tuple[np.ndarray, np.ndarray] | None = None
@@ -301,13 +295,13 @@ def _descent(problem: _SlotProblem, config: FitConfig):
             if trial_point.value <= point.value + decrease:  # NaN trial values fail here
                 previous = (x, grad)
                 return trial, trial_point
-            step *= config.backtracking_factor
+            step *= _BACKTRACKING_FACTOR
         return None
 
     return advance
 
 
-def _levenberg_marquardt(problem: _SlotProblem, config: FitConfig):
+def _levenberg_marquardt(problem: _SlotProblem):
     """Box-constrained Levenberg-Marquardt.
 
     Each step solves (H_ff + lambda diag H_ff) delta = -g_f over the free
@@ -364,6 +358,7 @@ _SOLVERS = {
     "lm": (_levenberg_marquardt, "damping_exhausted"),
     "gd": (_descent, "line_search_exhausted"),
 }
+STOP_REASONS = ("tolerance", "max_iterations", *(reason for _, reason in _SOLVERS.values()))
 
 
 def fit(
@@ -392,7 +387,7 @@ def fit(
     rates, times, variances = _model_arrays(start_model)
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()
     solver, exhausted = _SOLVERS[config.method]
-    x, trace, stop_reason = _iterate(problem, _project(x), config, solver(problem, config), exhausted)
+    x, trace, stop_reason = _iterate(problem, _project(x), config, solver(problem), exhausted)
     # The trace is reported in measurement units; trace[0] is its largest entry.
     if not math.isfinite(trace[0] * scale * scale):
         raise WeekfitError("J overflows the float range; the traffic values are too large")
@@ -400,7 +395,6 @@ def fit(
     return FitReport(
         model=_model_from_arrays(x[0::3] * scale, x[1::3], np.exp(x[2::3])),
         objective_trace=np.asarray(trace) * scale * scale,
-        iterations=len(trace) - 1,
         elapsed_seconds=time.perf_counter() - started,
         stop_reason=stop_reason,
     )

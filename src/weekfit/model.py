@@ -19,6 +19,8 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import SeriesTooShortError
+
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
 HOURS_PER_WEEK = HOURS_PER_DAY * DAYS_PER_WEEK
@@ -214,6 +216,11 @@ class TrafficSeries:
         if not 0 <= i < j <= len(self):
             raise ValueError(f"invalid window [{i}, {j}) for series of length {len(self)}")
         return TrafficSeries(self.values[i:j], self.start + i)
+
+
+def _require_full_week(data: TrafficSeries) -> None:
+    if len(data) < HOURS_PER_WEEK:
+        raise SeriesTooShortError(f"need at least one full week (168 samples), got {len(data)}")
 
 
 # One Gaussian term is evaluated per (component, covered day, week copy).

@@ -143,7 +143,7 @@ def test_monotone_convergence(guangzhou):
         generate_synthetic(recovery_model(), 1, 400.0, seed=3),
         random_series(rng, 336),
     ]
-    configs = [FitConfig(max_iterations=300), FitConfig(max_iterations=50, backtracking_factor=0.3)]
+    configs = [FitConfig(max_iterations=300), FitConfig(max_iterations=50, method="gd")]
     checked = 0
     for data in datasets:
         for config in configs:

@@ -256,9 +256,23 @@ class TestAggregateHourly:
         rome = ZoneInfo("Europe/Rome")
         first = datetime(2024, 3, 30, tzinfo=rome).astimezone(timezone.utc)
         stamps = [(first + timedelta(hours=h)).astimezone(rome) for h in range(48)]
-        with pytest.raises(WeekfitError, match="fixed UTC offset") as info:
+        with pytest.raises(WeekfitError) as info:
             aggregate_hourly(Readings(stamps, np.ones(48)))
         assert not isinstance(info.value, GapError)
+        assert str(info.value) == (
+            "timestamps carry more than one UTC offset: CET up to "
+            "2024-03-31T01:00:00+01:00, then CEST from 2024-03-31T03:00:00+02:00"
+        )
+
+    def test_zone_with_one_offset_matches_fixed_offset(self):
+        # a zoneinfo zone is accepted while every timestamp has the same offset
+        rome = ZoneInfo("Europe/Rome")
+        winter = [datetime(2024, 1, 8, tzinfo=rome) + timedelta(hours=h) for h in range(336)]
+        fixed = [stamp.replace(tzinfo=timezone(timedelta(hours=1))) for stamp in winter]
+        values = np.arange(336.0)
+        assert aggregate_hourly(Readings(winter, values)) == aggregate_hourly(
+            Readings(fixed, values)
+        )
 
 
 class TestSplit:

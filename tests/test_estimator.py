@@ -163,7 +163,6 @@ class TestFitConfig:
         config = FitConfig()
         assert config.max_iterations == 5000
         assert config.relative_tolerance == 1e-8
-        assert config.backtracking_factor == 0.5
         assert config.method == "lm"
 
     def test_validation(self):
@@ -171,8 +170,6 @@ class TestFitConfig:
             FitConfig(max_iterations=0)
         with pytest.raises(ValueError):
             FitConfig(relative_tolerance=0.0)
-        with pytest.raises(ValueError):
-            FitConfig(backtracking_factor=1.0)
         with pytest.raises(ValueError, match="method"):
             FitConfig(method="newton")
 
@@ -183,7 +180,6 @@ class TestFitReport:
             FitReport(
                 model=guangzhou,
                 objective_trace=np.array([1.0, 2.0]),
-                iterations=1,
                 elapsed_seconds=0.0,
                 stop_reason="tolerance",
             )
@@ -320,7 +316,7 @@ class TestStopReason:
 
     def test_rejects_unknown_reason(self, guangzhou):
         with pytest.raises(ValueError, match="stop_reason"):
-            FitReport(guangzhou, np.array([1.0]), 0, 0.0, "converged")
+            FitReport(guangzhou, np.array([1.0]), 0.0, "converged")
 
 
 def test_lm_wastes_few_trials(guangzhou, milan, monkeypatch):
