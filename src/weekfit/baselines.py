@@ -6,15 +6,14 @@ import enum
 
 import numpy as np
 
-from .errors import WeekfitError
 from .model import HOURS_PER_WEEK, TrafficSeries, _require_full_week
 
 
 class BaselineKind(enum.Enum):
-    """Available reference predictors.
+    """Available reference predictors, both per-slot means of training samples.
 
-    ``seasonal_naive`` repeats the final training week; ``weekly_profile_mean``
-    emits the per-slot mean over all training weeks.
+    ``seasonal_naive`` averages the final training week, so it repeats that
+    week; ``weekly_profile_mean`` averages every training sample of a slot.
     """
 
     SEASONAL_NAIVE = "seasonal_naive"
@@ -24,25 +23,15 @@ class BaselineKind(enum.Enum):
 def baseline_predict(kind: BaselineKind, train: TrafficSeries, n_hours: int) -> TrafficSeries:
     """Forecast ``n_hours`` starting the hour after the training window ends.
 
-    Both baselines are exactly 168-hour periodic.  The profile mean needs
-    the training window to be a whole number of weeks.
+    Both baselines are exactly 168-hour periodic: output hour j is the mean
+    of the training samples that lie a whole number of weeks before
+    ``train.end + j``.  A partial leading week is accepted.
     """
     if n_hours < 1:
         raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     _require_full_week(train)
-    if kind is BaselineKind.SEASONAL_NAIVE:
-        profile = train.values[-HOURS_PER_WEEK:]
-    elif kind is BaselineKind.WEEKLY_PROFILE_MEAN:
-        if len(train) % HOURS_PER_WEEK != 0:
-            raise WeekfitError(
-                "weekly_profile_mean needs whole training weeks, "
-                f"got {len(train)} samples"
-            )
-        profile = train.values.reshape(-1, HOURS_PER_WEEK).mean(axis=0)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    # Output hour train.end + j lands on profile slot j mod 168: for the
-    # seasonal naive the profile starts exactly one week before train.end,
-    # and the profile mean is built from whole weeks ending at train.end.
-    indices = np.arange(n_hours) % HOURS_PER_WEEK
-    return TrafficSeries(profile[indices], train.end)
+    recent = train.values[-HOURS_PER_WEEK:] if kind is BaselineKind.SEASONAL_NAIVE else train.values
+    # slot 0 is the hour at train.end
+    slots = np.arange(-len(recent), 0) % HOURS_PER_WEEK
+    profile = np.bincount(slots, weights=recent) / np.bincount(slots)
+    return TrafficSeries(profile[np.arange(n_hours) % HOURS_PER_WEEK], train.end)

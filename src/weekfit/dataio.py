@@ -91,12 +91,13 @@ class SplitSpec:
 def load_csv(source) -> Readings:
     """Parse a ``timestamp,value`` CSV (ISO-8601 timestamps) into readings.
 
-    Accepts a path or an open text stream.  Failures name the 1-based line
-    number of the offending row.
+    Accepts a path or an open text stream; a file may start with a UTF-8
+    byte order mark.  Failures name the 1-based line number of the
+    offending row.
     """
     if hasattr(source, "read"):
         return _parse_csv(source)
-    with open(source, newline="") as handle:
+    with open(source, newline="", encoding="utf-8-sig") as handle:
         return _parse_csv(handle)
 
 

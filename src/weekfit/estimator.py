@@ -43,7 +43,6 @@ from .model import (
     _require_full_week,
     ComponentId,
     ComponentParams,
-    DayCategory,
     DayPeriod,
     DAYS_PER_WEEK,
     HOURS_PER_DAY,
@@ -77,12 +76,12 @@ _LM_DIAGONAL_FLOOR = 1e-12
 # (63, 9) indicator of the component each Gaussian term belongs to.
 _TERM_INDICATOR = (_TERM_COMPONENT[:, None] == np.arange(len(ComponentId))).astype(float)
 
-# Hour windows searched for each period's initial peak; the evening window
-# runs past midnight into the next day.
+# Hour windows searched for each period's initial peak; together they cover
+# [6, 24) and none crosses midnight.
 _PERIOD_WINDOWS = {
     DayPeriod.MORNING: (6, 14),
     DayPeriod.AFTERNOON: (14, 19),
-    DayPeriod.EVENING: (19, 30),
+    DayPeriod.EVENING: (19, 24),
 }
 
 
@@ -216,30 +215,25 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
 def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     """Starting point from per-category day profiles.
 
-    Each category's 24-hour mean profile comes from the per-slot sample
-    counts and sums: over the category's days, the sum of an hour's samples
-    over their count.  The profile is scanned over the period's hour
-    window; the argmax hour (earliest on ties) seeds peak_time and
-    peak_rate, and every variance starts at 4 h^2.
+    A component's profile over its period's hour window comes from the
+    per-slot sample counts and sums: over the category's days, the sum of
+    an hour's samples over their count.  No window crosses midnight, so
+    every peak time starts in the day it belongs to.  The argmax hour
+    (earliest on ties) seeds peak_time and peak_rate, and every variance
+    starts at 4 h^2.
     """
     _require_full_week(data)
     problem = _SlotProblem(data)
     counts = problem.counts.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)
     sums = problem.sums.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)
-    profiles = {}
-    for category in DayCategory:
-        rows = np.asarray(category.day_numbers) - 1
-        profiles[category] = sums[rows].sum(axis=0) / counts[rows].sum(axis=0)
     components = {}
     for comp in ComponentId:
+        rows = np.asarray(comp.category.day_numbers) - 1
         lo, hi = _PERIOD_WINDOWS[comp.period]
-        window = np.arange(lo, hi)
-        levels = profiles[comp.category][window % HOURS_PER_DAY]
-        best = int(window[np.argmax(levels)])
+        levels = sums[rows, lo:hi].sum(axis=0) / counts[rows, lo:hi].sum(axis=0)
+        best = int(np.argmax(levels))
         components[comp] = ComponentParams(
-            peak_rate=float(levels[best - lo]),
-            peak_time=float(best % HOURS_PER_DAY),
-            variance=4.0,
+            peak_rate=float(levels[best]), peak_time=float(lo + best), variance=4.0
         )
     return WeeklyModel(components)
 

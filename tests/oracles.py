@@ -55,8 +55,8 @@ def naive_aggregate(timestamps, values, week_start: str = "monday") -> tuple[np.
 
 
 # Hour windows searched for each period's initial peak, keyed by the
-# component name's first letter; the evening window runs past midnight.
-_PERIOD_WINDOWS = {"m": (6, 14), "a": (14, 19), "e": (19, 30)}
+# component name's first letter.
+_PERIOD_WINDOWS = {"m": (6, 14), "a": (14, 19), "e": (19, 24)}
 
 
 def naive_init_heuristic(series) -> WeeklyModel:
@@ -72,8 +72,8 @@ def naive_init_heuristic(series) -> WeeklyModel:
         in_days = np.isin(days, component_days(comp))
         profile = [series.values[in_days & (hours == h)].mean() for h in range(24)]
         lo, hi = _PERIOD_WINDOWS[comp.value[0]]
-        best = max(range(lo, hi), key=lambda h: profile[h % 24])  # first maximum wins
-        components[comp] = ComponentParams(float(profile[best % 24]), float(best % 24), 4.0)
+        best = max(range(lo, hi), key=lambda h: profile[h])  # first maximum wins
+        components[comp] = ComponentParams(float(profile[best]), float(best), 4.0)
     return WeeklyModel(components)
 
 

@@ -8,7 +8,6 @@ from weekfit import (
     ComponentParams,
     SeriesTooShortError,
     TrafficSeries,
-    WeekfitError,
     WeeklyModel,
     generate_synthetic,
     mse,
@@ -66,9 +65,20 @@ class TestBaselinePredict:
         with pytest.raises(SeriesTooShortError):
             baseline_predict(BaselineKind.SEASONAL_NAIVE, TrafficSeries(np.ones(100), 0), 24)
 
-    def test_profile_mean_requires_whole_weeks(self):
-        with pytest.raises(WeekfitError, match="whole"):
-            baseline_predict(BaselineKind.WEEKLY_PROFILE_MEAN, TrafficSeries(np.ones(200), 0), 24)
+    def test_profile_mean_tolerates_partial_leading_week(self):
+        # each output hour is the mean of the training samples a whole
+        # number of weeks before it, however many that slot has
+        rng = np.random.default_rng(5)
+        train = TrafficSeries(rng.uniform(1, 9, 400), 17)
+        out = baseline_predict(BaselineKind.WEEKLY_PROFILE_MEAN, train, 300)
+        for j in range(300):
+            hour = train.end + j
+            same_slot = [
+                value
+                for i, value in enumerate(train.values)
+                if (hour - (train.start + i)) % 168 == 0
+            ]
+            assert out.values[j] == pytest.approx(sum(same_slot) / len(same_slot), rel=1e-12)
 
     def test_seasonal_naive_tolerates_partial_leading_week(self):
         rng = np.random.default_rng(4)

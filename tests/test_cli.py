@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
@@ -238,15 +239,23 @@ class TestErrorPaths:
         assert run("inspect", "--model", bad) == 1
 
     @pytest.mark.parametrize(
-        "text",
-        ['{"mw": {"peak_rate": 1' + "0" * 400 + "}}", "[" * 100_000],
-        ids=["integer-beyond-float", "deep-nesting"],
+        "text, message",
+        [
+            ('{"mw": {"peak_rate": 1' + "0" * 400 + "}}", "mw.peak_rate must be finite"),
+            ("[" * 100_000, "invalid JSON: "),
+            ("[]", "model file must contain a JSON object"),
+            ('{"mw": 1}', "component 'mw' must be an object"),
+            ('{"mw": {"peak_rate": "1", "peak_time": 12, "variance": 1}}', "mw.peak_rate must be a number"),
+            ('{"mw": {"peak_rate": true, "peak_time": 12, "variance": 1}}', "mw.peak_rate must be a number"),
+        ],
+        ids=["integer-beyond-float", "deep-nesting", "array", "component-not-object",
+             "string-parameter", "boolean-parameter"],
     )
-    def test_malformed_model_json(self, tmp_path, capsys, text):
+    def test_malformed_model_json(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert run("inspect", "--model", bad) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith("error: " + message)
 
     def test_oversize_csv_cell(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"
@@ -286,8 +295,25 @@ class TestErrorPaths:
         svg = tmp_path / "p.svg"
         assert run("predict", "--model", gz_path, "--weeks", 1,
                    "--out", pred, "--svg", svg) == 0
-        text = svg.read_text()
-        assert text.startswith("<svg") and "polyline" in text
+        data = tmp_path / "d.csv"
+        fit_svg = tmp_path / "fit.svg"
+        assert run("synth", "--model", gz_path, "--weeks", 1, "--noise", 0,
+                   "--seed", 0, "--out", data) == 0
+        assert run("fit", "--input", data, "--train-weeks", 1,
+                   "--out", tmp_path / "m.json", "--svg", fit_svg) == 0
+        for path in (svg, fit_svg):
+            text = path.read_text()
+            assert text.startswith("<svg") and "polyline" in text
+
+    def test_fit_timing_line(self, tmp_path, gz_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 1, "--noise", 0,
+                   "--seed", 0, "--out", data) == 0
+        capsys.readouterr()
+        assert run("fit", "--input", data, "--train-weeks", 1,
+                   "--out", tmp_path / "m.json", "--timing") == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s", last)
 
 
 # Fuzzing: any input ends in exit 0 (a result) or 1 (an input error), in bounded

@@ -71,6 +71,18 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="header"):
             load_csv(io.StringIO("2013-11-04T00:00:00,120\n"))
 
+    def test_empty_file(self):
+        with pytest.raises(CsvFormatError, match="^line 1: missing header row$"):
+            load_csv(io.StringIO(""))
+
+    def test_utf8_bom_is_ignored(self, tmp_path):
+        # spreadsheet programs write "CSV UTF-8" with a byte order mark
+        text = "timestamp,value\n" + "".join(f"2013-11-04T{h:02d}:00:00,{h}\n" for h in range(24))
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert aggregate_hourly(load_csv(marked)) == aggregate_hourly(load_csv(plain))
+
     def test_negative_value_names_line(self):
         stream = io.StringIO("timestamp,value\n2013-11-04T00:00:00,3\n2013-11-04T00:10:00,-5\n")
         with pytest.raises(CsvFormatError, match="line 3") as info:

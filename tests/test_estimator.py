@@ -128,12 +128,17 @@ class TestInitHeuristic:
         with pytest.raises(SeriesTooShortError):
             init_heuristic(TrafficSeries(np.ones(167), 0))
 
-    def test_evening_window_wraps_past_midnight(self):
-        # mass at 2am belongs to the evening window [19, 30)
+    def test_evening_window_stops_at_midnight(self):
+        # the evening window is [19, 24): mass at 2am is the next morning's
+        # business, mass at 11pm seeds the evening peak
         values = np.zeros(168)
         values[2::24] = 10.0
         start = init_heuristic(TrafficSeries(values, 0))
-        assert start[ComponentId.EW].peak_time == 2.0
+        assert start[ComponentId.EW].peak_time == 19.0
+        assert start[ComponentId.EW].peak_rate == 0.0
+        values[23::24] = 10.0
+        start = init_heuristic(TrafficSeries(values, 0))
+        assert start[ComponentId.EW].peak_time == 23.0
         assert start[ComponentId.EW].peak_rate == pytest.approx(10.0)
 
 
@@ -259,6 +264,19 @@ class TestFit:
         assert objective(report.model, data) == pytest.approx(
             report.objective_trace[-1], rel=1e-9
         )
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_late_evening_peaks_reach_the_truth_basin(self, guangzhou, seed):
+        # evening peaks just before midnight reach the truth's basin only
+        # from evening starts; a start at 0 h sticks on the lower bound
+        components = dict(guangzhou.components)
+        for comp, time_ in ((ComponentId.EW, 23.8), (ComponentId.ESU, 23.3)):
+            params = components[comp]
+            components[comp] = ComponentParams(params.peak_rate, time_, params.variance)
+        truth = WeeklyModel(components)
+        noise = 0.05 * float(predict_series(truth, 168).values.max())
+        data = generate_synthetic(truth, 2, noise, seed=seed)
+        assert fit(data).objective_trace[-1] <= objective(truth, data)
 
     def test_rejects_short_series(self):
         short = TrafficSeries(np.ones(100), 0)
