@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
-from .model import HOURS_PER_WEEK, TrafficSeries, _require_full_week
+from .model import HOURS_PER_WEEK, TrafficSeries, _repeat_week, _require_full_week, _slot_sums
 
 
 class BaselineKind(enum.Enum):
@@ -27,11 +25,8 @@ def baseline_predict(kind: BaselineKind, train: TrafficSeries, n_hours: int) -> 
     of the training samples that lie a whole number of weeks before
     ``train.end + j``.  A partial leading week is accepted.
     """
-    if n_hours < 1:
-        raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     _require_full_week(train)
-    recent = train.values[-HOURS_PER_WEEK:] if kind is BaselineKind.SEASONAL_NAIVE else train.values
-    # slot 0 is the hour at train.end
-    slots = np.arange(-len(recent), 0) % HOURS_PER_WEEK
-    profile = np.bincount(slots, weights=recent) / np.bincount(slots)
-    return TrafficSeries(profile[np.arange(n_hours) % HOURS_PER_WEEK], train.end)
+    if kind is BaselineKind.SEASONAL_NAIVE:
+        train = train.window(len(train) - HOURS_PER_WEEK, len(train))
+    counts, sums = _slot_sums(train)
+    return _repeat_week(sums / counts, train.end, n_hours)

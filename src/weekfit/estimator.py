@@ -1,12 +1,14 @@
 """Least-squares fitting of the weekly component model.
 
 The objective J is the plain sum of squared residuals between modeled and
-measured hourly traffic.  An hourly series samples only the 168 week
-slots, so everything but J itself depends on the data through the per-slot
-sample counts n_s and means y_s alone: the gradient is 2 J_m^T N (m - y)
-with J_m the 168 x 27 Jacobian of the slot model m.  One slot problem
-serves ``objective``, ``gradient`` and both solvers; J is kept as the exact
-per-sample sum of squares.
+measured hourly traffic.  Each component is a Gaussian in absolute hours,
+so the model is continuous across midnight, and an hourly series samples
+only the 168 week slots.  The fit therefore reads the data through the
+per-slot sample counts n_s and means y_s and the within-slot sum of
+squares W = sum (y - y_slot)^2 alone: J = sum_s n_s (m_s - y_s)^2 + W, and
+the gradient is 2 J_m^T N (m - y) with J_m the 168 x 27 Jacobian of the
+slot model m.  One slot problem serves ``objective``, ``gradient`` and
+both solvers, and its cost per evaluation does not grow with the series.
 
 Both solvers move a transformed parameter vector inside one box:
 amplitudes scaled by the data maximum and kept >= 0, peak times kept in
@@ -41,6 +43,8 @@ from .model import (
     _model_arrays,
     _model_from_arrays,
     _require_full_week,
+    _slot_sums,
+    _week_slots,
     ComponentId,
     ComponentParams,
     DayPeriod,
@@ -146,14 +150,13 @@ class FitReport:
 
 
 class _SlotProblem:
-    """A series reduced to the 168 week slots: sample counts and means per slot."""
+    """A series reduced to the 168 week slots: counts n_s, means y_s and W = sum (y - y_slot)^2."""
 
-    def __init__(self, data: TrafficSeries, scale: float = 1.0):
-        self.slots = data.hour_counters() % HOURS_PER_WEEK
-        self.targets = data.values / scale
-        self.counts = np.bincount(self.slots, minlength=HOURS_PER_WEEK).astype(float)
-        self.sums = np.bincount(self.slots, weights=self.targets, minlength=HOURS_PER_WEEK)
-        self.means = self.sums / np.maximum(self.counts, 1.0)
+    def __init__(self, data: TrafficSeries):
+        self.counts, sums = _slot_sums(data)
+        self.means = sums / np.maximum(self.counts, 1.0)
+        spread = data.values - self.means[_week_slots(data.start, len(data))]
+        self.within = float(spread @ spread)
 
     def at_vector(self, x: np.ndarray) -> _SlotPoint:
         """The point of a transformed vector (amplitude, peak time, log-variance)."""
@@ -167,10 +170,10 @@ class _SlotPoint:
         self.rates = rates
         self.variances = variances
         self.offsets, self.factors, per_slot = _gaussian_terms(rates, times, variances, _SLOT_GRID)
-        resid = per_slot[problem.slots] - problem.targets
-        self.value = float(resid @ resid)
-        # n_s (m_s - y_s): the per-sample residuals summed per slot
-        self.folded = problem.counts * (per_slot - problem.means)
+        gap = per_slot - problem.means
+        self.folded = problem.counts * gap  # n_s (m_s - y_s): the residuals summed per slot
+        # J = sum_s n_s (m_s - y_s)^2 + W; both terms are >= 0, so nothing cancels
+        self.value = float(gap @ self.folded) + problem.within
 
     def jacobian(self) -> np.ndarray:
         """d m_s / d(peak_rate, peak_time, variance), shape (168, 27).
@@ -223,9 +226,7 @@ def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     starts at 4 h^2.
     """
     _require_full_week(data)
-    problem = _SlotProblem(data)
-    counts = problem.counts.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)
-    sums = problem.sums.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)
+    counts, sums = (a.reshape(DAYS_PER_WEEK, HOURS_PER_DAY) for a in _slot_sums(data))
     components = {}
     for comp in ComponentId:
         rows = np.asarray(comp.category.day_numbers) - 1
@@ -376,7 +377,7 @@ def fit(
     # Data and amplitudes are divided by the data maximum (1 for all-zero
     # data) so one step size serves traffic rates of any magnitude.
     scale = float(np.max(data.values)) or 1.0
-    problem = _SlotProblem(data, scale)
+    problem = _SlotProblem(TrafficSeries(data.values / scale, data.start))
 
     rates, times, variances = _model_arrays(start_model)
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()

@@ -3,9 +3,10 @@
 Hourly demand over a week is modeled by nine bell-shaped components: three
 daily periods (morning, afternoon, evening) for each of three day
 categories (weekday, Saturday, Sunday).  Weekday components repeat on all
-five weekdays.  Mass spilling across week boundaries is kept by evaluating
-one wrapped copy of the week on either side, so the profile is exactly
-168-hour periodic.
+five weekdays.  Each component is a Gaussian in absolute hours, so the
+profile is continuous across midnight; mass spilling across week
+boundaries is kept by evaluating one wrapped copy of the week on either
+side, so the profile is exactly 168-hour periodic.
 """
 
 from __future__ import annotations
@@ -206,7 +207,7 @@ class TrafficSeries:
         return self.hour_counters() // HOURS_PER_WEEK
 
     def day_indices(self) -> np.ndarray:
-        return (self.hour_counters() % HOURS_PER_WEEK) // HOURS_PER_DAY + 1
+        return _week_slots(self.start, len(self)) // HOURS_PER_DAY + 1
 
     def hour_indices(self) -> np.ndarray:
         return self.hour_counters() % HOURS_PER_DAY
@@ -223,12 +224,31 @@ def _require_full_week(data: TrafficSeries) -> None:
         raise SeriesTooShortError(f"need at least one full week (168 samples), got {len(data)}")
 
 
+def _week_slots(start: int, n_hours: int) -> np.ndarray:
+    """Week slot (0 = Monday 00:00 .. 167) of ``n_hours`` hours from absolute hour ``start``."""
+    return (start + np.arange(n_hours)) % HOURS_PER_WEEK
+
+
+def _slot_sums(series: TrafficSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Sample count and sample sum of each of the 168 week slots."""
+    slots = _week_slots(series.start, len(series))
+    counts = np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float)
+    return counts, np.bincount(slots, weights=series.values, minlength=HOURS_PER_WEEK)
+
+
+def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries:
+    """The 168-slot ``profile`` repeated over ``n_hours`` hours from absolute hour ``start``."""
+    if n_hours < 1:
+        raise ValueError(f"n_hours must be >= 1, got {n_hours}")
+    return TrafficSeries(profile[_week_slots(start, n_hours)], start)
+
+
 # One Gaussian term is evaluated per (component, covered day, week copy).
 # Weekday components cover days 1-5, Saturday/Sunday components one day
 # each, and every copy is repeated at -1/0/+1 weeks: 63 terms in total,
 # laid out in canonical component order with day then week ascending so
-# summation order is fixed.
-# Offsets are hour + 24*(n_d - day) - peak_time: spill past midnight lands on the previous day.
+# summation order is fixed.  A term's shift is 24*n_d + 168*n_w, and its
+# offset in absolute hours is (24*day + hour) - shift - peak_time.
 def _term_geometry() -> tuple[np.ndarray, np.ndarray]:
     component, shift = [], []
     for index, comp in enumerate(ComponentId):
@@ -263,11 +283,11 @@ def _model_from_arrays(rates, times, variances) -> WeeklyModel:
 def _gaussian_terms(
     rates: np.ndarray, times: np.ndarray, variances: np.ndarray, grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-term offsets and Gaussian factors, and the model value per sample.
+    """Per-term offsets and Gaussian factors, and the model value per row.
 
-    ``grid`` holds ``hour - 24*day + _TERM_SHIFT`` per sample and term, shape
-    (n_samples, 63); offsets and factors have that shape, the values shape
-    (n_samples,).
+    ``grid`` holds ``(24*day + hour) - _TERM_SHIFT`` per row and term, shape
+    (168, 63) for the week slots (``_SLOT_GRID``) or (1, 63) for one clock;
+    offsets and factors have the grid's shape, the values one entry per row.
     """
     offsets = grid - times[_TERM_COMPONENT]
     # -(u*u)/(2 var) computed in place as (u*u)/(-2 var): the same bits
@@ -278,14 +298,10 @@ def _gaussian_terms(
     return offsets, factors, factors @ rates[_TERM_COMPONENT]
 
 
-# ``hour - 24*day`` for the 168 distinct week positions, and their term
-# grid: hourly series only ever sample these, so grid evaluation works on
-# one week and gathers by slot.
-_SLOT_BASE = (
-    np.arange(HOURS_PER_WEEK, dtype=float) % HOURS_PER_DAY
-    - HOURS_PER_DAY * (np.arange(HOURS_PER_WEEK) // HOURS_PER_DAY + 1)
-)
-_SLOT_GRID = _SLOT_BASE[:, None] + _TERM_SHIFT[None, :]
+# ``24*day + hour`` of the 168 week slots (the slot plus 24) and their term
+# grid: hourly series only ever sample these slots.
+_SLOT_BASE = np.arange(float(HOURS_PER_WEEK)) + HOURS_PER_DAY
+_SLOT_GRID = _SLOT_BASE[:, None] - _TERM_SHIFT[None, :]
 
 
 def _values_at(model: WeeklyModel, grid: np.ndarray) -> np.ndarray:
@@ -304,7 +320,7 @@ def component_value(params: ComponentParams, offset: float) -> float:
 
 def weekly_value(model: WeeklyModel, clock: WeekClock) -> float:
     """Modeled traffic rate at one position in the week (sum of all 63 terms)."""
-    grid = (clock.hour - HOURS_PER_DAY * clock.day) + _TERM_SHIFT[None, :]
+    grid = (clock.hour + HOURS_PER_DAY * clock.day) - _TERM_SHIFT[None, :]
     return float(_values_at(model, grid)[0])
 
 
@@ -320,18 +336,10 @@ def predict_series(
     168-hour period because the model depends on time only through the
     week clock.
     """
-    if n_hours < 1:
-        raise ValueError(f"n_hours must be >= 1, got {n_hours}")
     if start_clock.hour != int(start_clock.hour):
         raise ValueError(f"start hour must be integral, got {start_clock.hour!r}")
-    first = (
-        start_week * HOURS_PER_WEEK
-        + (start_clock.day - 1) * HOURS_PER_DAY
-        + int(start_clock.hour)
-    )
-    counters = first + np.arange(n_hours)
-    per_slot = _values_at(model, _SLOT_GRID)
-    return TrafficSeries(per_slot[counters % HOURS_PER_WEEK], first)
+    first = (start_week * DAYS_PER_WEEK + start_clock.day - 1) * HOURS_PER_DAY + int(start_clock.hour)
+    return _repeat_week(_values_at(model, _SLOT_GRID), first, n_hours)
 
 
 def sigma_interval(params: ComponentParams) -> tuple[float, float]:

@@ -22,13 +22,17 @@ def component_days(comp: ComponentId) -> tuple[int, ...]:
 
 
 def naive_weekly_value(model: WeeklyModel, day: int, hour: float) -> float:
-    """Literal 63-term double loop over components, days and week copies."""
+    """Literal 63-term double loop over components, days and week copies.
+
+    Each term is a Gaussian in absolute hours, centred on hour peak_time of
+    day n_d in week copy n_w.
+    """
     total = 0.0
     for comp in ComponentId:
         params = model[comp]
         for n_d in component_days(comp):
             for n_w in (-1, 0, 1):
-                offset = hour + 24.0 * (n_d - day) - params.peak_time + 168.0 * n_w
+                offset = (24.0 * day + hour) - (24.0 * n_d + params.peak_time + 168.0 * n_w)
                 total += params.peak_rate * math.exp(
                     -(offset * offset) / (2.0 * params.variance)
                 )

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -29,6 +30,12 @@ from weekfit import (
 from conftest import perturbed, random_model, random_series
 from oracles import finite_difference_gradient, naive_init_heuristic, naive_objective
 
+# (n_hours, start) of the series J and its gradient are checked on: one
+# whole week from Monday, where every slot holds one sample, and two
+# mid-week starts whose slots hold 2 to 4 samples, so the within-slot sum
+# of squares W is not zero
+_SHAPES = [(168, 0), (420, 61), (505, 167)]
+
 
 class TestObjective:
     def test_zero_on_own_noiseless_data(self, guangzhou):
@@ -43,9 +50,9 @@ class TestObjective:
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(2)
-        for _ in range(5):
+        for (n_hours, start), _ in itertools.product(_SHAPES, range(5)):
             model = random_model(rng)
-            data = random_series(rng)
+            data = random_series(rng, n_hours, start)
             expected = naive_objective(model, data)
             assert objective(model, data) == pytest.approx(expected, rel=1e-12)
 
@@ -58,9 +65,9 @@ class TestGradient:
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
+        for (n_hours, start), _ in itertools.product(_SHAPES, range(5)):
             model = random_model(rng)
-            data = random_series(rng)
+            data = random_series(rng, n_hours, start)
             analytic = gradient(model, data)
             numeric = finite_difference_gradient(model, data)
             floor = 1e-6 * np.max(np.abs(analytic))

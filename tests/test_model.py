@@ -236,6 +236,17 @@ class TestWeeklyValue:
         # meaningful range (far tails of near-zero models)
         assert math.isclose(ours, naive, rel_tol=1e-12, abs_tol=1e-250)
 
+    def test_continuous_at_every_midnight(self, guangzhou, milan):
+        # a sum of Gaussians in time has no jumps: the last instant of each
+        # day, Sunday included, meets the next day's 00:00
+        rng = np.random.default_rng(2024)
+        for model in [guangzhou, milan] + [random_model(rng) for _ in range(20)]:
+            peak = float(np.max(predict_series(model, 168).values))
+            for day in range(1, 8):
+                before = weekly_value(model, WeekClock(day, 24.0 - 1e-9))
+                after = weekly_value(model, WeekClock(day % 7 + 1, 0.0))
+                assert abs(before - after) <= 1e-6 * peak, (day, before, after)
+
     @settings(max_examples=100, deadline=None)
     @given(model=model_st, clock=clock_st)
     def test_nonnegative(self, model, clock):
@@ -385,7 +396,7 @@ def test_random_models_match_brute_force_tightly():
 
 def test_slot_kernel_keeps_the_broadcast_formula_bits():
     # the precomputed grid and the in-place exponent must give exactly the
-    # bits of the plain broadcast formula -(o*o)/(2v), o = base + shift - t
+    # bits of the plain broadcast formula -(o*o)/(2v), o = base - shift - t
     rng = np.random.default_rng(17)
     for _ in range(40):
         rates = rng.uniform(0.0, 4.0, 9)
@@ -393,7 +404,7 @@ def test_slot_kernel_keeps_the_broadcast_formula_bits():
         log_variances = rng.uniform(-20.0, 20.0, 9)
         log_variances[:3] = rng.choice([-20.0, 20.0], 3) * (1.0 - rng.uniform(0.0, 1e-6, 3))
         variances = np.exp(log_variances)
-        o = _SLOT_BASE[:, None] + _TERM_SHIFT - times[_TERM_COMPONENT]
+        o = _SLOT_BASE[:, None] - _TERM_SHIFT - times[_TERM_COMPONENT]
         exponents = -(o * o) / (2.0 * variances[_TERM_COMPONENT])
         factors = np.exp(np.maximum(exponents, _EXP_FLOOR))
         got_offsets, got_factors, got_values = _gaussian_terms(rates, times, variances, _SLOT_GRID)
