@@ -2,14 +2,15 @@
 
 Exit status is 0 on success, 1 for input errors (bad files, gaps, short
 series), and 2 for internal faults.  All file outputs use fixed float
-formatting so identical invocations produce byte-identical files; timing
-lines are printed only on request (``--timing``) to keep stdout
-deterministic as well.
+formatting so identical invocations produce byte-identical files.  Wall
+time is measured here alone (``_timed``), never by the library, and shown
+only by ``--timing`` and in compare's train_s/predict_s columns.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 
@@ -101,17 +102,24 @@ def _model_forecast(model, test):
     return lambda: predict_series(model, len(test), *week_clock_at(test.start))
 
 
-def _score(test, forecast, train_seconds: float = 0.0) -> EvalReport:
-    """Time ``forecast()`` and score its series against the test window."""
-    t0 = time.perf_counter()
-    values = forecast().values
-    return EvalReport.from_predictions(test.values, values, train_seconds, time.perf_counter() - t0)
+def _timed(call, *args):
+    """``call(*args)`` and its wall time in seconds."""
+    started = time.perf_counter()
+    result = call(*args)
+    return result, time.perf_counter() - started
+
+
+def _score(test, forecast, train_seconds: float = 0.0) -> dict:
+    """Score ``forecast()`` against the test window: the report's fields, then both wall times."""
+    predicted, predict_seconds = _timed(forecast)
+    scores = EvalReport.from_predictions(test.values, predicted.values).as_dict()
+    return {**scores, "elapsed_train_seconds": train_seconds, "elapsed_predict_seconds": predict_seconds}
 
 
 def _cmd_fit(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
     train = training_window(series, spec)
-    report = fit(train, _fit_config(args))
+    report, seconds = _timed(fit, train, _fit_config(args))
     save_model(report.model, args.out)
     trace = report.objective_trace
     status = "converged" if report.converged else "not converged"
@@ -125,7 +133,7 @@ def _cmd_fit(args) -> int:
         _write_line_svg(trace, args.svg, "objective vs iteration")
         print(f"wrote {args.svg}")
     if args.timing:
-        print(f"elapsed: {report.elapsed_seconds:.3f}s")
+        print(f"elapsed: {seconds:.3f}s")
     return 0
 
 
@@ -144,11 +152,13 @@ def _cmd_evaluate(args) -> int:
     model = load_model(args.model)
     series, spec = _load_series(args.input, args.train_weeks)
     _, test = split(series, spec)
-    report = _score(test, _model_forecast(model, test))
+    scores = _score(test, _model_forecast(model, test))
+    if not args.timing:
+        del scores["elapsed_train_seconds"], scores["elapsed_predict_seconds"]
     if args.json:
-        print(report.to_json(include_timing=args.timing))
+        print(json.dumps(scores, indent=2))
     else:
-        for name, value in report.as_dict(include_timing=args.timing).items():
+        for name, value in scores.items():
             print(f"{name}: {value!r}")
     return 0
 
@@ -187,27 +197,27 @@ def _cmd_inspect(args) -> int:
 def _cmd_compare(args) -> int:
     series, spec = _load_series(args.input, args.train_weeks)
     train, test = split(series, spec)
-    fitted = fit(train, _fit_config(args))
-    reports = [("weekfit", _score(test, _model_forecast(fitted.model, test), fitted.elapsed_seconds))]
+    fitted, train_seconds = _timed(fit, train, _fit_config(args))
+    scored = [("weekfit", _score(test, _model_forecast(fitted.model, test), train_seconds))]
     for kind in BaselineKind:  # baselines have no training step
-        reports.append((kind.value, _score(test, lambda: baseline_predict(kind, train, len(test)))))
+        scored.append((kind.value, _score(test, lambda: baseline_predict(kind, train, len(test)))))
     header = ["predictor", "mse", "rmse", "mae", "r2", "train_s", "predict_s"]
     rows = [
         [
             name,
-            f"{r.mse:.6g}",
-            f"{r.rmse:.6g}",
-            f"{r.mae:.6g}",
-            f"{r.r2:.6g}",
-            f"{r.elapsed_train_seconds:.3f}",
-            f"{r.elapsed_predict_seconds:.3f}",
+            f"{s['mse']:.6g}",
+            f"{s['rmse']:.6g}",
+            f"{s['mae']:.6g}",
+            f"{s['r2']:.6g}",
+            f"{s['elapsed_train_seconds']:.3f}",
+            f"{s['elapsed_predict_seconds']:.3f}",
         ]
-        for name, r in reports
+        for name, s in scored
     ]
     _print_table(header, rows)
     if args.csv:
-        csv_rows = ([name] + r.csv_row() for name, r in reports)
-        _write_csv(args.csv, ["predictor"] + EvalReport.csv_header(), csv_rows)
+        csv_rows = ([name, *map(repr, s.values())] for name, s in scored)
+        _write_csv(args.csv, ["predictor", *scored[0][1]], csv_rows)
         print(f"wrote {args.csv}")
     return 0
 

@@ -30,7 +30,6 @@ trace is non-increasing.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,6 @@ class FitReport:
 
     model: WeeklyModel
     objective_trace: np.ndarray
-    elapsed_seconds: float
     stop_reason: str
 
     def __post_init__(self):
@@ -371,7 +369,6 @@ def fit(
     if config is None:
         config = FitConfig()
     _require_full_week(data)
-    started = time.perf_counter()
     start_model = init if init is not None else init_heuristic(data)
 
     # Data and amplitudes are divided by the data maximum (1 for all-zero
@@ -390,6 +387,5 @@ def fit(
     return FitReport(
         model=_model_from_arrays(x[0::3] * scale, x[1::3], np.exp(x[2::3])),
         objective_trace=np.asarray(trace) * scale * scale,
-        elapsed_seconds=time.perf_counter() - started,
         stop_reason=stop_reason,
     )

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -71,15 +70,17 @@ def r2(actual, predicted) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Accuracy plus timing for one predictor on one test window."""
+    """Accuracy of one predictor on one test window.
+
+    A pure value of the actual and predicted series; wall time is measured
+    only by the command line.
+    """
 
     mse: float
     rmse: float
     mae: float
     r2: float
     n_samples: int
-    elapsed_train_seconds: float
-    elapsed_predict_seconds: float
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -90,17 +91,9 @@ class EvalReport:
             raise ValueError("mae cannot exceed rmse")
         if self.r2 > 1.0 + 1e-12:
             raise ValueError("r2 cannot exceed 1")
-        if self.elapsed_train_seconds < 0.0 or self.elapsed_predict_seconds < 0.0:
-            raise ValueError("elapsed times must be >= 0")
 
     @classmethod
-    def from_predictions(
-        cls,
-        actual,
-        predicted,
-        elapsed_train_seconds: float = 0.0,
-        elapsed_predict_seconds: float = 0.0,
-    ) -> "EvalReport":
+    def from_predictions(cls, actual, predicted) -> "EvalReport":
         a, p = _paired(actual, predicted)
         mean_squared = mse(a, p)
         return cls(
@@ -109,22 +102,7 @@ class EvalReport:
             mae=mae(a, p),
             r2=r2(a, p),
             n_samples=int(a.size),
-            elapsed_train_seconds=elapsed_train_seconds,
-            elapsed_predict_seconds=elapsed_predict_seconds,
         )
 
-    def as_dict(self, include_timing: bool = True) -> dict:
-        out = asdict(self)
-        if not include_timing:
-            del out["elapsed_train_seconds"], out["elapsed_predict_seconds"]
-        return out
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.as_dict(include_timing), indent=2)
-
-    @staticmethod
-    def csv_header() -> list[str]:
-        return [field.name for field in fields(EvalReport)]
-
-    def csv_row(self) -> list[str]:
-        return [repr(getattr(self, name)) for name in self.csv_header()]
+    def as_dict(self) -> dict:
+        return asdict(self)

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SeriesTooShortError
+from .errors import SeriesTooShortError, WeekfitError
 
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
@@ -232,8 +232,10 @@ def _week_slots(start: int, n_hours: int) -> np.ndarray:
 def _slot_sums(series: TrafficSeries) -> tuple[np.ndarray, np.ndarray]:
     """Sample count and sample sum of each of the 168 week slots."""
     slots = _week_slots(series.start, len(series))
-    counts = np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float)
-    return counts, np.bincount(slots, weights=series.values, minlength=HOURS_PER_WEEK)
+    sums = np.bincount(slots, weights=series.values, minlength=HOURS_PER_WEEK)
+    if not np.isfinite(sums).all():
+        raise WeekfitError("a slot sum overflows the float range; the traffic values are too large")
+    return np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float), sums
 
 
 def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries:

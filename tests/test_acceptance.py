@@ -84,8 +84,10 @@ def test_parameter_recovery_noiseless(guangzhou):
     data = generate_synthetic(guangzhou, 2, 0.0, seed=0)
     rng = np.random.default_rng(7)
     init = perturbed(guangzhou, rng, 0.1)
+    started = time.perf_counter()
     report = fit(data, ACCEPT_CONFIG, init=init)
-    assert report.elapsed_seconds < 10.0
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0
     assert report.objective_trace[-1] < 1e-6 * report.objective_trace[0]
     worst_rate = worst_time = worst_var = 0.0
     for comp in ComponentId:
@@ -100,7 +102,7 @@ def test_parameter_recovery_noiseless(guangzhou):
         "PASS parameter-recovery-noiseless: "
         f"J ratio {report.objective_trace[-1] / report.objective_trace[0]:.1e}, "
         f"errors rate {worst_rate:.1e} time {worst_time:.1e} var {worst_var:.1e}, "
-        f"{report.elapsed_seconds:.1f}s"
+        f"{elapsed:.1f}s"
     )
 
 

@@ -265,15 +265,17 @@ class TestErrorPaths:
 
     def test_overflowing_values(self, tmp_path, gz_path, capsys):
         data = tmp_path / "huge.csv"
-        values = np.random.default_rng(0).uniform(0.0, 1e300, 360)
         start = datetime(2024, 1, 1)
-        rows = [f"{(start + timedelta(hours=h)).isoformat()},{v!r}" for h, v in enumerate(values.tolist())]
-        data.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
-        for argv in (["fit", "--input", data, "--out", tmp_path / "m.json"],
-                     ["evaluate", "--model", gz_path, "--input", data],
-                     ["compare", "--input", data]):
-            assert run(*argv) == 1
-            assert capsys.readouterr().err.startswith("error: ")
+        # J overflows in the first; in the second the sums of a week slot do
+        for values in (np.random.default_rng(0).uniform(0.0, 1e300, 360), np.full(360, 1.7e308)):
+            rows = [f"{(start + timedelta(hours=h)).isoformat()},{v!r}" for h, v in enumerate(values.tolist())]
+            data.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
+            for argv in (["fit", "--input", data, "--out", tmp_path / "m.json"],
+                         ["evaluate", "--model", gz_path, "--input", data],
+                         ["compare", "--input", data]):
+                assert run(*argv) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "too large" in err
 
     @pytest.mark.parametrize("command", ["predict", "synth"])
     def test_oversized_horizon(self, tmp_path, gz_path, capsys, command):
@@ -314,6 +316,28 @@ class TestErrorPaths:
                    "--out", tmp_path / "m.json", "--timing") == 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert re.fullmatch(r"elapsed: \d+\.\d{3}s", last)
+
+    def test_evaluate_timing_fields(self, tmp_path, gz_path, capsys):
+        data = tmp_path / "d.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 2, "--noise", 0,
+                   "--seed", 0, "--out", data) == 0
+        accuracy = ["mse", "rmse", "mae", "r2", "n_samples"]
+        timing = ["elapsed_train_seconds", "elapsed_predict_seconds"]
+        evaluate = ["evaluate", "--model", gz_path, "--input", data, "--train-weeks", 1]
+        for flags, keys in (([], accuracy), (["--timing"], accuracy + timing)):
+            capsys.readouterr()
+            assert run(*evaluate, "--json", *flags) == 0
+            as_json = json.loads(capsys.readouterr().out)
+            assert run(*evaluate, *flags) == 0
+            lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()]
+            assert list(as_json) == keys
+            assert [name for name, _ in lines] == keys
+            as_text = {name: float(value) for name, value in lines}
+            assert all(as_text[name] == as_json[name] for name in accuracy)
+            if flags:  # two runs, so each form carries its own wall time
+                for values in (as_json, as_text):
+                    assert values["elapsed_train_seconds"] == 0.0
+                    assert values["elapsed_predict_seconds"] >= 0.0
 
 
 # Fuzzing: any input ends in exit 0 (a result) or 1 (an input error), in bounded
