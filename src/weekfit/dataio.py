@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
+from itertools import islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,28 +147,35 @@ def _parse_rows(reader) -> Readings:
 def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> TrafficSeries:
     """Sum readings into [h, h+1) wall-clock hour buckets and assign week clocks.
 
-    Order-insensitive and mass-conserving.  Any empty bucket between the
-    first and last hour is a hard error naming the missing hour; nothing
-    is imputed.  Timestamps must be all naive or all share one UTC offset,
-    whatever their tzinfo: across an offset change the wall-clock hour and
-    the week slot would part.
+    Order-insensitive and mass-conserving.  Readings already in strictly
+    increasing time order are summed as read; any other order is sorted by
+    (timestamp, value) first, and the sums are bit-identical either way.
+    Any empty bucket between the first and last hour is a hard error naming
+    the missing hour; nothing is imputed.  Timestamps must be all naive or
+    all share one UTC offset, whatever their tzinfo: across an offset
+    change the wall-clock hour and the week slot would part.
     """
     if spec is None:
         spec = SplitSpec()
-    if not readings.timestamps:
+    stamps, values = readings.timestamps, readings.values
+    if not stamps:
         raise WeekfitError("no records to aggregate")
     try:
-        # canonical accumulation order makes the sums independent of the
-        # input ordering down to the last bit
-        ordered = sorted(zip(readings.timestamps, readings.values.tolist()))
+        # (timestamp, value) order makes the sums independent of the input
+        # ordering down to the last bit; strictly increasing timestamps are
+        # in that order already, so only other orders pay for the sort
+        if not all(map(operator.lt, stamps, islice(stamps, 1, None))):
+            ordered = sorted(zip(stamps, values.tolist()))
+            stamps = [stamp for stamp, _ in ordered]
+            values = np.array([value for _, value in ordered])
+            del ordered  # its pairs are the largest allocation here; free them first
     except TypeError:
         raise WeekfitError("timestamps mix naive and timezone-aware datetimes") from None
-    stamps = [stamp for stamp, _ in ordered]
-    values = np.array([value for _, value in ordered])
-    del ordered  # its pairs are the largest allocation here; free them first
     # one integer key per sample: the start of its hour in absolute microseconds
-    hours = np.array([t.toordinal() * HOURS_PER_DAY + t.hour for t in stamps], dtype=np.int64)
-    keys = hours * _HOUR_US - _utc_offset_us(stamps)
+    n = len(stamps)
+    days = np.fromiter(map(datetime.toordinal, stamps), np.int64, n)
+    hours = np.fromiter(map(operator.attrgetter("hour"), stamps), np.int64, n)
+    keys = (days * HOURS_PER_DAY + hours) * _HOUR_US - _utc_offset_us(stamps)
     steps = np.diff(keys)
     gaps = np.flatnonzero((steps != 0) & (steps != _HOUR_US))
     if gaps.size:

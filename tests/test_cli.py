@@ -132,6 +132,22 @@ class TestSynthFitPipeline:
         assert payload["r2"] == 1.0
         assert payload["mse"] == 0.0
 
+    def test_reversed_rows_with_utc_offset_fit_the_same_model(self, tmp_path, gz_path):
+        # time-ordered rows are summed as read; reversed rows are sorted first
+        # and their +00:00 offset is checked, and the model keeps every byte
+        data = tmp_path / "data.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 4, "--noise", 200,
+                   "--seed", 1, "--out", data) == 0
+        header, *rows = data.read_text().splitlines()
+        shifted = [row.replace(",", "+00:00,", 1) for row in reversed(rows)]
+        reversed_utc = tmp_path / "reversed_utc.csv"
+        reversed_utc.write_text("\n".join([header, *shifted]) + "\n")
+        fits = []
+        for source in (data, reversed_utc):
+            fits.append(tmp_path / f"fit_{source.stem}.json")
+            assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
+        assert fits[0].read_bytes() == fits[1].read_bytes()
+
     def test_synth_deterministic_bytes(self, tmp_path, gz_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

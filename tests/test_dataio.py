@@ -155,18 +155,36 @@ OFFSETS = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
 
 @st.composite
 def hourly_rows(draw):
-    """Gap-free rows over 1-12 hours: shuffled, some timestamps repeated with other values."""
+    """Gap-free rows over 1-12 hours, in one of four orders.
+
+    - shuffled, some timestamps repeated with other values;
+    - in strictly increasing time order, which aggregation sums as read;
+    - in time order with a repeated timestamp, whose values come in drawn
+      order, so aggregation must sort them;
+    - strictly increasing but for one swapped adjacent pair, so the order
+      check may scan far before aggregation falls back to the sort.
+    """
     tz = draw(st.sampled_from(OFFSETS))
     first = datetime(2024, 1, 1, tzinfo=tz) + timedelta(hours=draw(st.integers(0, 24 * 366)))
+    order = draw(st.sampled_from(["shuffled", "increasing", "repeated", "one swap"]))
     # few distinct offsets within the hour, so timestamps repeat
     within = st.sampled_from([0, 1, 599_999_999, 1_800_000_000, 3_599_999_999])
+    distinct = order in ("increasing", "one swap")
     value = st.floats(0.0, 1e6) | st.floats(0.0, 1e-6)
     rows = []
     for hour in range(draw(st.integers(1, 12))):
-        for offset_us in draw(st.lists(within, min_size=1, max_size=12)):
+        for offset_us in sorted(draw(st.lists(within, min_size=1, max_size=12, unique=distinct))):
             stamp = first + timedelta(hours=hour, microseconds=offset_us)
             rows.append((stamp, draw(value)))
-    return draw(st.permutations(rows))
+    if order == "shuffled":
+        return draw(st.permutations(rows))
+    if order == "repeated":
+        at = draw(st.integers(0, len(rows) - 1))
+        rows.insert(at, (rows[at][0], draw(value)))
+    elif order == "one swap" and len(rows) > 1:
+        at = draw(st.integers(0, len(rows) - 2))
+        rows[at], rows[at + 1] = rows[at + 1], rows[at]
+    return rows
 
 
 class TestAggregateHourly:
@@ -240,12 +258,11 @@ class TestAggregateHourly:
         assert series.start == start
 
     def test_mixed_naive_and_aware_rejected(self):
-        records = readings_of([
-            (datetime(2013, 11, 4, 4), 1.0),
-            (datetime(2013, 11, 4, 5, tzinfo=timezone.utc), 1.0),
-        ])
-        with pytest.raises(WeekfitError, match="mix naive and timezone-aware"):
-            aggregate_hourly(records)
+        naive, aware = datetime(2013, 11, 4, 4), datetime(2013, 11, 4, 5, tzinfo=timezone.utc)
+        # the order check meets the mix in the first order, the sort in the second
+        for stamps in ([naive, aware], [naive + timedelta(hours=2), naive, aware]):
+            with pytest.raises(WeekfitError, match="mix naive and timezone-aware"):
+                aggregate_hourly(Readings(stamps, np.ones(len(stamps))))
 
     def test_more_than_one_utc_offset_rejected(self):
         # two weeks of Europe/Rome hours across the 2024-03-31 change, written
