@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
@@ -47,6 +49,14 @@ _PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
 SYNTH_EPOCH = datetime(2024, 1, 1)
 
 _HOUR_US = 3_600_000_000
+
+# write_timestamp_csv's last writable hour counter, 9999-12-31T23:00: later
+# timestamps have five-digit years, which datetime.fromisoformat refuses
+_LAST_HOUR = (datetime.max - SYNTH_EPOCH) // timedelta(hours=1)
+
+# _parse_plain reads about this many characters at a time, up to a line end,
+# so only one chunk's text and cells are alive at a time
+_CHUNK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +106,88 @@ def load_csv(source) -> Readings:
     Accepts a path or an open text stream; a file may start with a UTF-8
     byte order mark.  Failures name the 1-based line number of the
     offending row.
+
+    A quote-free ASCII file is read a column at a time; any other file, and
+    any file with an error, is read again from its start row by row through
+    the csv module.  The readings and the errors are identical either way.
+    A stream is read whole first and split into lines as a file opened with
+    ``newline=""`` is.
     """
     if hasattr(source, "read"):
-        return _parse_csv(source)
+        return _parse_csv(io.StringIO(source.read(), newline=""))
     with open(source, newline="", encoding="utf-8-sig") as handle:
         return _parse_csv(handle)
 
 
 def _parse_csv(handle) -> Readings:
+    readings = _parse_plain(handle)
+    if readings is not None:
+        return readings
+    handle.seek(0)  # a text file's decoder skips the byte order mark again
     reader = csv.reader(handle)
     try:
         return _parse_rows(reader)
     except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
         raise CsvFormatError(reader.line_num, str(exc)) from None
+
+
+def _parse_plain(handle) -> Readings | None:
+    """``_parse_rows``' readings for text whose every line csv.reader reads as two bare cells.
+
+    Reads about ``_CHUNK_CHARS`` characters at a time, cut at a line end.
+    Returns None, leaving the stream to ``_parse_rows``, unless every chunk
+    passes ``_plain_cells``, the header is ``timestamp,value`` and every
+    row parses to a value in [0, inf).  The cells are converted with the row
+    loop's own functions, so the readings are bit-identical to its.
+    """
+    limit = csv.field_size_limit()
+    header = _plain_cells(handle.readline(), limit)
+    if header is None or [cell.strip() for cell in header] != ["timestamp", "value"]:
+        return None
+    timestamps: list[datetime] = []
+    values = array("d")
+    try:
+        while chunk := handle.read(_CHUNK_CHARS):
+            cells = _plain_cells(chunk + handle.readline(), limit)
+            if cells is None:
+                return None
+            timestamps.extend(map(datetime.fromisoformat, map(str.strip, cells[0::2])))
+            values.extend(map(float, cells[1::2]))
+        return Readings(timestamps, values)
+    except ValueError:  # a cell that does not parse, or a value outside [0, inf)
+        return None
+
+
+def _plain_cells(chunk: str, limit: int) -> list[str] | None:
+    """Whole lines' cells as [timestamp, value, timestamp, value, ...], or None.
+
+    None unless the chunk is ASCII with no quote, NUL, lone carriage return
+    or blank line, every line holds exactly one comma, and no cell is
+    longer than ``limit``.
+    """
+    # NUL: csv.reader refuses it before Python 3.11, but fromisoformat
+    # accepts one after a full timestamp
+    if not chunk.isascii() or '"' in chunk or "\0" in chunk:
+        return None
+    if "\r" in chunk:
+        chunk = chunk.replace("\r\n", "\n")
+        if "\r" in chunk:
+            return None
+    if not chunk.endswith("\n"):
+        chunk += "\n"
+    codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
+    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    kinds = codes[seps]
+    # separators alternate comma, line end, starting with a comma: so no
+    # line is blank and each holds one comma
+    if (kinds[0::2] != ord(",")).any() or (kinds[1::2] != ord("\n")).any():
+        return None
+    # each cell ends at a separator; only a chunk over the limit can hold a cell over it
+    if len(chunk) > limit and np.diff(seps, prepend=-1).max() > limit + 1:
+        return None
+    cells = chunk.replace("\n", ",").split(",")
+    cells.pop()  # the empty string after the last line end
+    return cells
 
 
 def _parse_rows(reader) -> Readings:
@@ -196,7 +275,9 @@ def _utc_offset_us(stamps: Sequence[datetime]) -> int:
     """The one UTC offset of sorted timestamps in microseconds, 0 if naive."""
     offset = stamps[0].utcoffset()
     if offset is None:
-        return 0  # sorting has refused a mix of naive and aware timestamps
+        # the order check, or the sort, has refused a mix of naive and aware
+        # timestamps
+        return 0
     change = next((i for i, stamp in enumerate(stamps) if stamp.utcoffset() != offset), None)
     if change is not None:
         before, after = stamps[change - 1], stamps[change]
@@ -321,10 +402,16 @@ def write_timestamp_csv(series: TrafficSeries, path) -> None:
     """Write a series in the ingestion format (``timestamp,value``).
 
     Hour counter 0 maps to ``SYNTH_EPOCH``, a Monday, so round-trips with
-    the default week start preserve the week clock.
+    the default week start preserve the week clock.  A series that runs
+    past 9999-12-31T23:00 raises WeekfitError before the file is opened.
     """
-    stamps = (SYNTH_EPOCH + timedelta(hours=hour) for hour in series.hour_counters().tolist())
-    rows = zip(map(datetime.isoformat, stamps), map(repr, series.values.tolist()))
+    if series.end - 1 > _LAST_HOUR:
+        raise WeekfitError(
+            f"hour {series.end - 1} is past 9999-12-31T23:00, the last timestamp a CSV can hold"
+        )
+    hours = np.datetime64(SYNTH_EPOCH, "h") + series.hour_counters()
+    stamps = np.datetime_as_string(hours, unit="s").tolist()
+    rows = zip(stamps, map(repr, series.values.tolist()))
     _write_csv(path, ["timestamp", "value"], rows)
 
 

@@ -5,11 +5,14 @@ plain Python loops and math.exp, sharing no evaluation code with the
 package under test.
 """
 
+import csv
+import io
 import math
+from datetime import datetime
 
 import numpy as np
 
-from weekfit import ComponentId, ComponentParams, WeeklyModel, objective
+from weekfit import ComponentId, ComponentParams, CsvFormatError, Readings, WeeklyModel, objective
 
 
 def component_days(comp: ComponentId) -> tuple[int, ...]:
@@ -152,3 +155,41 @@ def finite_difference_gradient(model: WeeklyModel, data, h: float = 1e-5) -> np.
             minus = objective(_with_parameter(model, comp, name, center - step), data)
             out[3 * ci + pi] = (plus - minus) / (2.0 * step)
     return out
+
+
+def naive_load_csv(text: str) -> Readings:
+    """``load_csv`` on ``text`` by the csv module's row loop alone.
+
+    csv.reader splits the text into rows, as a file opened with
+    ``newline=""`` is; each row's cells are parsed and checked in turn, and
+    every error names the physical line the reader is on.
+    """
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvFormatError(1, "missing header row") from None
+        if [cell.strip() for cell in header] != ["timestamp", "value"]:
+            raise CsvFormatError(1, f"expected header 'timestamp,value', got {','.join(header)!r}")
+        timestamps, values = [], []
+        for row in reader:
+            if len(row) != 2:
+                if not row:
+                    continue
+                raise CsvFormatError(reader.line_num, f"expected 2 columns, got {len(row)}")
+            stamp, text = row
+            try:
+                timestamps.append(datetime.fromisoformat(stamp.strip()))
+            except ValueError:
+                raise CsvFormatError(reader.line_num, f"unparseable timestamp {stamp!r}") from None
+            try:
+                value = float(text)
+            except ValueError:
+                raise CsvFormatError(reader.line_num, f"unparseable value {text!r}") from None
+            if not 0.0 <= value < math.inf:
+                raise CsvFormatError(reader.line_num, f"value must be finite and >= 0, got {value!r}")
+            values.append(value)
+    except csv.Error as exc:
+        raise CsvFormatError(reader.line_num, str(exc)) from None
+    return Readings(timestamps, values)

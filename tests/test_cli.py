@@ -148,6 +148,24 @@ class TestSynthFitPipeline:
             assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
         assert fits[0].read_bytes() == fits[1].read_bytes()
 
+    def test_lf_and_quoted_copies_fit_the_same_model(self, tmp_path, gz_path):
+        # synth writes CRLF; the LF copy is read a column at a time like the
+        # original, the quoted copy through the csv module, and the model
+        # keeps every byte
+        data = tmp_path / "data.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 4, "--noise", 200,
+                   "--seed", 1, "--out", data) == 0
+        lines = data.read_bytes().decode().splitlines()
+        lf, quoted = tmp_path / "lf.csv", tmp_path / "quoted.csv"
+        lf.write_bytes("".join(f"{line}\n" for line in lines).encode())
+        quoted.write_bytes("".join('"' + '","'.join(line.split(",")) + '"\r\n'
+                                   for line in lines).encode())
+        fits = []
+        for source in (data, lf, quoted):
+            fits.append(tmp_path / f"fit_{source.stem}.json")
+            assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
+        assert fits[0].read_bytes() == fits[1].read_bytes() == fits[2].read_bytes()
+
     def test_synth_deterministic_bytes(self, tmp_path, gz_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

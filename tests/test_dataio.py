@@ -1,6 +1,8 @@
+import csv
 import io
 import json
 from datetime import datetime, timedelta, timezone
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -30,7 +32,8 @@ from weekfit import (
     write_series_csv,
     write_timestamp_csv,
 )
-from oracles import naive_aggregate
+from weekfit import dataio
+from oracles import naive_aggregate, naive_load_csv
 
 # transcription of the bundled Guangzhou reference set, (rate, variance, time)
 GUANGZHOU_TABLE = {
@@ -57,6 +60,57 @@ model_st = st.builds(
 )
 
 
+# cells either path reads alike; clean ones alone keep a file on the column
+# path, the others send it to the row loop or to an error: quotes,
+# non-ASCII, NUL, padding, unparseable, negative or long cells
+CLEAN_STAMPS = ["2024-01-01T00:00:00", "2024-01-01T00:30:00", "2024-01-01T01:00:00+00:00",
+                " 2024-01-01T02:00:00 ", "2024-01-01 03:00"]
+OTHER_STAMPS = ["yesterday", "", '"2024-01-01T04:00:00"', '"2024-01-01T05:00:00\n"',
+                "2024-01-01T06:00:00\x00", "2024-01-01T07:00:00\u00e9"]
+CLEAN_VALUES = ["1", "2.5", " 3 ", "0", "-0.0", "1_000", "1e-3"]
+OTHER_VALUES = ["-1", "nan", "inf", "1e400", "many", "", '"4"', '"5,5"', "6\x00", "\uff17",
+                "1" * 40]
+CLEAN_HEADERS = ["timestamp,value", " timestamp , value "]
+OTHER_HEADERS = ["timestamp,value,", '"timestamp",value', "value,timestamp", "timestamp", ""]
+SPLICES = ["\r", "\n", "\r\n", ",", '"', "\x00", "\u00e9", " "]
+
+
+@st.composite
+def csv_texts(draw, clean=st.booleans()):
+    """A header and 0-8 rows; the last line may lack its line end.
+
+    A clean text has clean cells, two to a row, and ``\\n`` or ``\\r\\n``
+    line ends.  Any other text may also have other cells, 1 or 4 cells to a
+    row (0 or 3 commas), blank lines, lone ``\\r`` line ends, and up to
+    three of ``SPLICES`` put in anywhere.
+    """
+    clean = draw(clean)
+    stamps = st.sampled_from(CLEAN_STAMPS if clean else CLEAN_STAMPS + OTHER_STAMPS)
+    values = st.sampled_from(CLEAN_VALUES if clean else CLEAN_VALUES + OTHER_VALUES)
+    ends = st.sampled_from(["\n", "\r\n"] if clean else ["\n", "\r\n", "\r"])
+    widths = st.just(2) if clean else st.sampled_from([2, 2, 2, 0, 1, 4])
+    text = draw(st.sampled_from(CLEAN_HEADERS if clean else CLEAN_HEADERS + OTHER_HEADERS))
+    text += draw(ends)
+    for _ in range(draw(st.integers(0, 8))):
+        cells = [draw(stamps), draw(values), draw(stamps | values), draw(stamps | values)]
+        text += ",".join(cells[:draw(widths)]) + draw(ends)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    for _ in range(0 if clean else draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(SPLICES)) + text[at:]
+    return text
+
+
+def load_outcome(load, source):
+    """The readings, bit for bit, or the error's type and message."""
+    try:
+        readings = load(source)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(map(repr, readings.timestamps)), readings.values.tobytes()
+
+
 class TestLoadCsv:
     def test_single_row(self):
         readings = load_csv(io.StringIO("timestamp,value\n2013-11-04T00:00:00,120\n"))
@@ -76,12 +130,15 @@ class TestLoadCsv:
             load_csv(io.StringIO(""))
 
     def test_utf8_bom_is_ignored(self, tmp_path):
-        # spreadsheet programs write "CSV UTF-8" with a byte order mark
-        text = "timestamp,value\n" + "".join(f"2013-11-04T{h:02d}:00:00,{h}\n" for h in range(24))
-        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
-        plain.write_bytes(text.encode())
-        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        assert aggregate_hourly(load_csv(marked)) == aggregate_hourly(load_csv(plain))
+        # spreadsheet programs write "CSV UTF-8" with a byte order mark; a
+        # quoted file is read twice, and the second read skips the mark too
+        for quote in ("", '"'):
+            rows = "".join(f"2013-11-04T{h:02d}:00:00,{quote}{h}{quote}\n" for h in range(24))
+            text = "timestamp,value\n" + rows
+            plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+            plain.write_bytes(text.encode())
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            assert aggregate_hourly(load_csv(marked)) == aggregate_hourly(load_csv(plain))
 
     def test_negative_value_names_line(self):
         stream = io.StringIO("timestamp,value\n2013-11-04T00:00:00,3\n2013-11-04T00:10:00,-5\n")
@@ -130,6 +187,46 @@ class TestLoadCsv:
         path.write_text("timestamp,value\n2013-11-04T05:30:00,7.5\n")
         readings = load_csv(path)
         assert readings.values[0] == 7.5
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=csv_texts(), chunk=st.integers(1, 64),
+           limit=st.one_of(st.integers(8, 32), st.just(csv.field_size_limit())))
+    def test_matches_row_loop_oracle(self, text, chunk, limit):
+        # chunks of a few characters cut the drawn text into several; the
+        # lowered field size limit catches cells in the header and the rows
+        default = csv.field_size_limit(limit)
+        try:
+            with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+                assert (load_outcome(load_csv, io.StringIO(text, newline=""))
+                        == load_outcome(naive_load_csv, text))
+        finally:
+            csv.field_size_limit(default)
+
+    @pytest.mark.parametrize("rows, limit", [
+        ("2024-01-01T00:00:00\n1\n", None),  # two comma-free lines, not one row
+        ("2024-01-01T00:00:00,1,2024-01-01T01:00:00,2\n", None),  # one row of four cells
+        ("2024-01-01T00:00:00\r,1\n", None),  # a lone CR ends the first line
+        ("2024-01-01T00:00:00,1\n\n2024-01-01T01:00:00,2\n", None),  # a blank line
+        ('"2024-01-01T00:00:00","1"\r\n', None),
+        ("2024-01-01T00:00:00\x00,1\n", None),  # csv.reader refuses NUL before 3.11
+        ("2024-01-01T00:00:00,1\n", 18),
+        ("2024-01-01T00:00:00,1\n", 19),
+        ("2024-01-01T00:00:00,1\n", 8),  # the header's first cell is too long
+    ])
+    def test_edge_texts_match_row_loop_oracle(self, rows, limit):
+        text = "timestamp,value\n" + rows
+        default = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            assert (load_outcome(load_csv, io.StringIO(text, newline=""))
+                    == load_outcome(naive_load_csv, text))
+        finally:
+            csv.field_size_limit(default)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=csv_texts(clean=st.just(True)), chunk=st.integers(1, 64))
+    def test_clean_texts_take_the_column_path(self, text, chunk):
+        with mock.patch.object(dataio, "_CHUNK_CHARS", chunk):
+            assert dataio._parse_plain(io.StringIO(text, newline="")) is not None
 
     def test_readings_validation(self):
         with pytest.raises(ValueError, match="one value per timestamp"):
@@ -436,6 +533,17 @@ class TestSeriesCsv:
         write_timestamp_csv(series, path)
         rebuilt = aggregate_hourly(load_csv(path))
         assert rebuilt == series
+
+    def test_timestamp_csv_stops_at_year_9999(self, tmp_path):
+        last = (datetime(9999, 12, 31, 23) - datetime(2024, 1, 1)) // timedelta(hours=1)
+        path = tmp_path / "late.csv"
+        with pytest.raises(WeekfitError, match="past 9999-12-31T23:00"):
+            write_timestamp_csv(TrafficSeries(np.ones(3), 70_000_000), path)
+        with pytest.raises(WeekfitError, match=f"hour {last + 1} is past"):
+            write_timestamp_csv(TrafficSeries(np.ones(2), last), path)
+        assert not path.exists()
+        write_timestamp_csv(TrafficSeries(np.ones(2), last - 1), path)
+        assert load_csv(path).timestamps == [datetime(9999, 12, 31, 22), datetime(9999, 12, 31, 23)]
 
     def test_byte_stable_output(self, tmp_path):
         series = TrafficSeries(np.linspace(0.1, 9.7, 50), 3)
