@@ -89,8 +89,7 @@ def _write_line_svg(ys, path, title: str) -> None:
 
 def _load_series(path, train_weeks: int):
     spec = SplitSpec(train_weeks=train_weeks)
-    series = aggregate_hourly(load_csv(path), spec)
-    return series, spec
+    return aggregate_hourly(load_csv(path)), spec
 
 
 def _fit_config(args) -> FitConfig:

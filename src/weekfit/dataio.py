@@ -30,22 +30,13 @@ from .model import (
     HOURS_PER_WEEK,
     TrafficSeries,
     WeeklyModel,
+    _week_slots,
 )
-
-_WEEK_START_DAYS = {
-    "monday": 0,
-    "tuesday": 1,
-    "wednesday": 2,
-    "thursday": 3,
-    "friday": 4,
-    "saturday": 5,
-    "sunday": 6,
-}
 
 _PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
 
-# Synthetic exports anchor absolute hour 0 here; it is a Monday, matching
-# the default week alignment.
+# Synthetic exports anchor absolute hour 0 here; it is a Monday, as week
+# slot 0 is.
 SYNTH_EPOCH = datetime(2024, 1, 1)
 
 _HOUR_US = 3_600_000_000
@@ -82,30 +73,21 @@ class Readings:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/test split rule: training weeks and the week-start alignment day.
-
-    ``week_start`` names the calendar day counted as day 1, the first
-    weekday-category day.  Any value other than ``"monday"`` moves which
-    days the Saturday and Sunday components fit: ``"sunday"`` fits a
-    Friday-Saturday weekend.  No command-line flag sets it.
-    """
+    """Train/test split rule: the number of whole training weeks."""
 
     train_weeks: int = 2
-    week_start: str = "monday"
 
     def __post_init__(self):
         if self.train_weeks < 1:
             raise ValueError(f"train_weeks must be >= 1, got {self.train_weeks}")
-        if self.week_start not in _WEEK_START_DAYS:
-            raise ValueError(f"unknown week_start {self.week_start!r}")
 
 
 def load_csv(source) -> Readings:
     """Parse a ``timestamp,value`` CSV (ISO-8601 timestamps) into readings.
 
     Accepts a path or an open text stream; a file may start with a UTF-8
-    byte order mark.  Failures name the 1-based line number of the
-    offending row.
+    byte order mark, and a stream's text with one U+FEFF.  Failures name
+    the 1-based line number of the offending row.
 
     A quote-free ASCII file is read a column at a time; any other file, and
     any file with an error, is read again from its start row by row through
@@ -114,7 +96,7 @@ def load_csv(source) -> Readings:
     ``newline=""`` is.
     """
     if hasattr(source, "read"):
-        return _parse_csv(io.StringIO(source.read(), newline=""))
+        return _parse_csv(io.StringIO(source.read().removeprefix("\ufeff"), newline=""))
     with open(source, newline="", encoding="utf-8-sig") as handle:
         return _parse_csv(handle)
 
@@ -226,6 +208,9 @@ def _parse_rows(reader) -> Readings:
 def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> TrafficSeries:
     """Sum readings into [h, h+1) wall-clock hour buckets and assign week clocks.
 
+    Monday is day 1: the series starts at the first reading's hour counted
+    from Monday 00:00 of its week.
+
     Order-insensitive and mass-conserving.  Readings already in strictly
     increasing time order are summed as read; any other order is sorted by
     (timestamp, value) first, and the sums are bit-identical either way.
@@ -233,9 +218,10 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     the missing hour; nothing is imputed.  Timestamps must be all naive or
     all share one UTC offset, whatever their tzinfo: across an offset
     change the wall-clock hour and the week slot would part.
+
+    ``spec`` is ignored; it stays only because the benchmark harness
+    (``bench/workloads.py``) still passes one positionally.
     """
-    if spec is None:
-        spec = SplitSpec()
     stamps, values = readings.timestamps, readings.values
     if not stamps:
         raise WeekfitError("no records to aggregate")
@@ -265,9 +251,8 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     # in the last bits
     slots = np.concatenate(([0], np.cumsum(steps != 0)))
     sums = np.bincount(slots, weights=values)
-    anchor = _WEEK_START_DAYS[spec.week_start]
     first = stamps[0]
-    start = ((first.weekday() - anchor) % 7) * HOURS_PER_DAY + first.hour
+    start = first.weekday() * HOURS_PER_DAY + first.hour
     return TrafficSeries(sums, start)
 
 
@@ -393,7 +378,9 @@ def _write_csv(path, header: list[str], rows: Iterable) -> None:
 
 def write_series_csv(series: TrafficSeries, path) -> None:
     """Write a series as ``week,day_k,hour,value`` rows."""
-    columns = (series.week_indices(), series.day_indices(), series.hour_indices())
+    hours = np.arange(series.start, series.end)
+    days = _week_slots(series.start, len(series)) // HOURS_PER_DAY + 1
+    columns = (hours // HOURS_PER_WEEK, days, hours % HOURS_PER_DAY)
     rows = zip(*(c.tolist() for c in columns), map(repr, series.values.tolist()))
     _write_csv(path, ["week", "day_k", "hour", "value"], rows)
 
@@ -401,15 +388,15 @@ def write_series_csv(series: TrafficSeries, path) -> None:
 def write_timestamp_csv(series: TrafficSeries, path) -> None:
     """Write a series in the ingestion format (``timestamp,value``).
 
-    Hour counter 0 maps to ``SYNTH_EPOCH``, a Monday, so round-trips with
-    the default week start preserve the week clock.  A series that runs
-    past 9999-12-31T23:00 raises WeekfitError before the file is opened.
+    Hour counter 0 maps to ``SYNTH_EPOCH``, a Monday, so round-trips
+    preserve the week clock.  A series that runs past 9999-12-31T23:00
+    raises WeekfitError before the file is opened.
     """
     if series.end - 1 > _LAST_HOUR:
         raise WeekfitError(
             f"hour {series.end - 1} is past 9999-12-31T23:00, the last timestamp a CSV can hold"
         )
-    hours = np.datetime64(SYNTH_EPOCH, "h") + series.hour_counters()
+    hours = np.datetime64(SYNTH_EPOCH, "h") + np.arange(series.start, series.end)
     stamps = np.datetime_as_string(hours, unit="s").tolist()
     rows = zip(stamps, map(repr, series.values.tolist()))
     _write_csv(path, ["timestamp", "value"], rows)

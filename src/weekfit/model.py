@@ -200,18 +200,6 @@ class TrafficSeries:
         """Absolute hour one past the last sample."""
         return self.start + len(self)
 
-    def hour_counters(self) -> np.ndarray:
-        return self.start + np.arange(len(self))
-
-    def week_indices(self) -> np.ndarray:
-        return self.hour_counters() // HOURS_PER_WEEK
-
-    def day_indices(self) -> np.ndarray:
-        return _week_slots(self.start, len(self)) // HOURS_PER_DAY + 1
-
-    def hour_indices(self) -> np.ndarray:
-        return self.hour_counters() % HOURS_PER_DAY
-
     def window(self, i: int, j: int) -> "TrafficSeries":
         """Sub-series covering samples [i, j)."""
         if not 0 <= i < j <= len(self):

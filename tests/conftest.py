@@ -1,7 +1,16 @@
+import csv
+
 import numpy as np
 import pytest
 
-from weekfit import ComponentId, ComponentParams, TrafficSeries, WeeklyModel, bundled_model
+from weekfit import (
+    ComponentId,
+    ComponentParams,
+    TrafficSeries,
+    WeeklyModel,
+    bundled_model,
+    write_series_csv,
+)
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +39,15 @@ def random_model(rng: np.random.Generator) -> WeeklyModel:
 
 def random_series(rng: np.random.Generator, n_hours: int = 168, start: int = 0) -> TrafficSeries:
     return TrafficSeries(rng.uniform(0.0, 3.0, n_hours), start)
+
+
+def series_csv_clocks(series: TrafficSeries, path) -> list[tuple[int, int, int]]:
+    """(week, day_k, hour) of each row ``write_series_csv`` writes to ``path``, read back."""
+    write_series_csv(series, path)
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == ["week", "day_k", "hour", "value"]
+    return [(int(week), int(day), int(hour)) for week, day, hour, _ in rows]
 
 
 def perturbed(model: WeeklyModel, rng: np.random.Generator, fraction: float = 0.1) -> WeeklyModel:

@@ -42,10 +42,12 @@ def naive_weekly_value(model: WeeklyModel, day: int, hour: float) -> float:
     return total
 
 
-_DAY_NAMES = ("monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday")
+def naive_day_and_hour(hour_counter: int) -> tuple[int, int]:
+    """Day (1 = Monday .. 7 = Sunday) and hour of day of an absolute hour counter."""
+    return hour_counter % 168 // 24 + 1, hour_counter % 24
 
 
-def naive_aggregate(timestamps, values, week_start: str = "monday") -> tuple[np.ndarray, int]:
+def naive_aggregate(timestamps, values) -> tuple[np.ndarray, int]:
     """Hourly sums and week-clock start by the per-row dict-and-``replace`` loop.
 
     Rows are added in (timestamp, value) order into buckets keyed by the
@@ -57,7 +59,7 @@ def naive_aggregate(timestamps, values, week_start: str = "monday") -> tuple[np.
         buckets[key] = buckets.get(key, 0.0) + value
     hours = sorted(buckets)
     first = hours[0]
-    start = ((first.weekday() - _DAY_NAMES.index(week_start)) % 7) * 24 + first.hour
+    start = first.weekday() * 24 + first.hour
     return np.array([buckets[hour] for hour in hours]), start
 
 
@@ -67,17 +69,22 @@ _PERIOD_WINDOWS = {"m": (6, 14), "a": (14, 19), "e": (19, 24)}
 
 
 def naive_init_heuristic(series) -> WeeklyModel:
-    """Starting point from 72 masked means: one per day category and hour of day.
+    """Starting point from 72 means: one per day category and hour of day.
 
     Each component's category profile is scanned over its period window and
     the earliest argmax hour seeds peak_time and peak_rate; variances are 4.
     """
-    days = series.day_indices()
-    hours = series.hour_indices()
+    cells = {}  # (component, hour of day) -> [sum, count] over the component's days
+    for i, value in enumerate(series.values.tolist()):
+        day, hour = naive_day_and_hour(series.start + i)
+        for comp in ComponentId:
+            if day in component_days(comp):
+                cell = cells.setdefault((comp, hour), [0.0, 0])
+                cell[0] += value
+                cell[1] += 1
     components = {}
     for comp in ComponentId:
-        in_days = np.isin(days, component_days(comp))
-        profile = [series.values[in_days & (hours == h)].mean() for h in range(24)]
+        profile = [cells[comp, h][0] / cells[comp, h][1] for h in range(24)]
         lo, hi = _PERIOD_WINDOWS[comp.value[0]]
         best = max(range(lo, hi), key=lambda h: profile[h])  # first maximum wins
         components[comp] = ComponentParams(float(profile[best]), float(best), 4.0)
@@ -85,11 +92,10 @@ def naive_init_heuristic(series) -> WeeklyModel:
 
 
 def naive_objective(model: WeeklyModel, series) -> float:
-    days = series.day_indices()
-    hours = series.hour_indices()
     total = 0.0
-    for i in range(len(series)):
-        residual = naive_weekly_value(model, int(days[i]), float(hours[i])) - series.values[i]
+    for i, value in enumerate(series.values.tolist()):
+        day, hour = naive_day_and_hour(series.start + i)
+        residual = naive_weekly_value(model, day, float(hour)) - value
         total += residual * residual
     return total
 

@@ -33,6 +33,7 @@ from weekfit import (
     write_timestamp_csv,
 )
 from weekfit import dataio
+from conftest import series_csv_clocks
 from oracles import naive_aggregate, naive_load_csv
 
 # transcription of the bundled Guangzhou reference set, (rate, variance, time)
@@ -131,14 +132,18 @@ class TestLoadCsv:
 
     def test_utf8_bom_is_ignored(self, tmp_path):
         # spreadsheet programs write "CSV UTF-8" with a byte order mark; a
-        # quoted file is read twice, and the second read skips the mark too
+        # quoted file is read twice, and the second read skips the mark too.
+        # A stream opened as plain utf-8 keeps the mark in its text.
         for quote in ("", '"'):
             rows = "".join(f"2013-11-04T{h:02d}:00:00,{quote}{h}{quote}\n" for h in range(24))
             text = "timestamp,value\n" + rows
             plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
             plain.write_bytes(text.encode())
             marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-            assert aggregate_hourly(load_csv(marked)) == aggregate_hourly(load_csv(plain))
+            expected = aggregate_hourly(load_csv(plain))
+            assert aggregate_hourly(load_csv(marked)) == expected
+            with open(marked, encoding="utf-8") as stream:
+                assert aggregate_hourly(load_csv(stream)) == expected
 
     def test_negative_value_names_line(self):
         stream = io.StringIO("timestamp,value\n2013-11-04T00:00:00,3\n2013-11-04T00:10:00,-5\n")
@@ -244,7 +249,6 @@ def readings_of(pairs) -> Readings:
     return Readings([stamp for stamp, _ in pairs], [value for _, value in pairs])
 
 
-WEEK_STARTS = ["monday", "tuesday", "wednesday", "thursday", "friday", "saturday", "sunday"]
 # aware inputs carry one offset per series; +05:30 puts the UTC hours at half past
 OFFSETS = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
            timezone(timedelta(hours=-3)), timezone(timedelta(hours=1))]
@@ -293,20 +297,19 @@ class TestAggregateHourly:
         assert len(series) == 1
         assert series.values[0] == 21.0
 
-    def test_monday_maps_to_day_one(self):
-        # 2013-11-04 is a Monday
+    def test_monday_maps_to_day_one(self, tmp_path):
+        # 2013-11-04 is a Monday, 2013-11-10 the Sunday after it
         assert datetime(2013, 11, 4).weekday() == 0
         series = aggregate_hourly(readings_of([(datetime(2013, 11, 4), 1.0)]))
-        assert series.day_indices()[0] == 1
-        assert series.hour_indices()[0] == 0
-
-    def test_week_start_alignment(self):
-        # 2013-11-03 is a Sunday; under a Sunday-start week it becomes day 1
+        assert series_csv_clocks(series, tmp_path / "monday.csv") == [(0, 1, 0)]
+        # a Sunday 20:00 start runs into Monday of the next week
         series = aggregate_hourly(
-            readings_of([(datetime(2013, 11, 3), 1.0)]),
-            SplitSpec(week_start="sunday"),
+            readings_of([(datetime(2013, 11, 10, 20) + timedelta(hours=h), 1.0) for h in range(6)])
         )
-        assert series.day_indices()[0] == 1
+        assert series.start == 164
+        assert series_csv_clocks(series, tmp_path / "sunday.csv") == [
+            (0, 7, 20), (0, 7, 21), (0, 7, 22), (0, 7, 23), (1, 1, 0), (1, 1, 1)
+        ]
 
     def test_gap_names_missing_hour(self):
         records = readings_of([
@@ -345,12 +348,12 @@ class TestAggregateHourly:
             aggregate_hourly(Readings([], []))
 
     @settings(max_examples=100, deadline=None)
-    @given(rows=hourly_rows(), week_start=st.sampled_from(WEEK_STARTS))
-    def test_matches_per_row_oracle_bit_for_bit(self, rows, week_start):
+    @given(rows=hourly_rows())
+    def test_matches_per_row_oracle_bit_for_bit(self, rows):
         text = "".join(f"{stamp.isoformat()},{value!r}\n" for stamp, value in rows)
         readings = load_csv(io.StringIO("timestamp,value\n" + text))
-        series = aggregate_hourly(readings, SplitSpec(week_start=week_start))
-        sums, start = naive_aggregate(*zip(*rows), week_start=week_start)
+        series = aggregate_hourly(readings)
+        sums, start = naive_aggregate(*zip(*rows))
         assert np.array_equal(series.values, sums)
         assert series.start == start
 
@@ -432,8 +435,6 @@ class TestSplit:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SplitSpec(train_weeks=0)
-        with pytest.raises(ValueError):
-            SplitSpec(week_start="someday")
 
 
 class TestModelPersistence:

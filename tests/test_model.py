@@ -29,7 +29,7 @@ from weekfit.model import (
     _gaussian_terms,
 )
 
-from conftest import random_model
+from conftest import random_model, series_csv_clocks
 from oracles import naive_weekly_value
 
 
@@ -172,14 +172,18 @@ class TestTrafficSeries:
         with pytest.raises(ValueError):
             TrafficSeries(np.array([]), 0)
 
-    def test_clock_indexing(self):
+    def test_clock_indexing(self, tmp_path):
+        # start 166 is Sunday 22:00, two hours before the week boundary
         series = TrafficSeries(np.arange(1.0, 201.0), start=166)
         week, clock = week_clock_at(series.start + 0)
         assert (week, clock) == (0, WeekClock(7, 22.0))
         week, clock = week_clock_at(series.start + 2)
         assert (week, clock) == (1, WeekClock(1, 0.0))
-        assert series.day_indices()[0] == 7
-        assert series.hour_indices()[2] == 0
+        clocks = series_csv_clocks(series, tmp_path / "series.csv")
+        assert clocks[:3] == [(0, 7, 22), (0, 7, 23), (1, 1, 0)]
+        for i, row in enumerate(clocks):
+            week, clock = week_clock_at(series.start + i)
+            assert row == (week, clock.day, int(clock.hour))
 
     def test_values_immutable(self):
         series = TrafficSeries(np.ones(3), 0)
@@ -306,14 +310,11 @@ class TestPredictSeries:
         second = predict_series(guangzhou, 168, start_week=1)
         assert np.array_equal(first.values, second.values)
 
-    def test_clock_rolling(self, guangzhou):
+    def test_clock_rolling(self, guangzhou, tmp_path):
         series = predict_series(guangzhou, 200, start_week=0, start_clock=WeekClock(7, 20.0))
-        weeks = series.week_indices()
-        days = series.day_indices()
-        hours = series.hour_indices()
-        assert (weeks[0], days[0], hours[0]) == (0, 7, 20)
-        assert (weeks[4], days[4], hours[4]) == (1, 1, 0)
-        assert (weeks[28], days[28], hours[28]) == (1, 2, 0)
+        clocks = series_csv_clocks(series, tmp_path / "series.csv")
+        assert (clocks[0], clocks[4], clocks[28]) == ((0, 7, 20), (1, 1, 0), (1, 2, 0))
+        assert clocks[-1] == (2, 2, 3)
 
     def test_rejects_fractional_start(self, guangzhou):
         with pytest.raises(ValueError, match="integral"):
