@@ -221,6 +221,19 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+def _at_least(lowest: int):
+    """An argparse type: an integer >= ``lowest``, refused with a message naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weekfit",
@@ -247,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="evaluate a saved model over a horizon")
     p.add_argument("--model", required=True)
-    p.add_argument("--weeks", type=int, required=True)
+    p.add_argument("--weeks", type=_at_least(1), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="write a prediction plot here")
     p.set_defaults(handler=_cmd_predict)
@@ -261,9 +274,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate noisy synthetic data from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--weeks", type=int, required=True)
+    p.add_argument("--weeks", type=_at_least(1), required=True)
     p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth)
 

@@ -45,7 +45,7 @@ from .model import (
     _slot_sums,
     _week_slots,
     ComponentId,
-    ComponentParams,
+    DayCategory,
     DayPeriod,
     DAYS_PER_WEEK,
     HOURS_PER_DAY,
@@ -221,20 +221,32 @@ def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     an hour's samples over their count.  No window crosses midnight, so
     every peak time starts in the day it belongs to.  The argmax hour
     (earliest on ties) seeds peak_time and peak_rate, and every variance
-    starts at 4 h^2.
+    starts at 4 h^2.  Traffic so large that a category's day sum
+    overflows raises ``WeekfitError``.
     """
+    return _model_from_arrays(*_heuristic_arrays(data))
+
+
+def _heuristic_arrays(data: TrafficSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``init_heuristic`` as (rates, times, variances) in canonical component order."""
     _require_full_week(data)
     counts, sums = (a.reshape(DAYS_PER_WEEK, HOURS_PER_DAY) for a in _slot_sums(data))
-    components = {}
-    for comp in ComponentId:
-        rows = np.asarray(comp.category.day_numbers) - 1
-        lo, hi = _PERIOD_WINDOWS[comp.period]
-        levels = sums[rows, lo:hi].sum(axis=0) / counts[rows, lo:hi].sum(axis=0)
-        best = int(np.argmax(levels))
-        components[comp] = ComponentParams(
-            peak_rate=float(levels[best]), peak_time=float(lo + best), variance=4.0
-        )
-    return WeeklyModel(components)
+    rates, times = [], []
+    # canonical order is every period of one category before the next category
+    with np.errstate(over="ignore"):  # a day sum that overflows is refused below
+        for category in DayCategory:
+            days = category.day_numbers  # consecutive, Monday = row 0
+            rows = slice(days[0] - 1, days[-1])
+            profile = sums[rows].sum(axis=0) / counts[rows].sum(axis=0)
+            for period in DayPeriod:
+                lo, hi = _PERIOD_WINDOWS[period]
+                best = lo + int(profile[lo:hi].argmax())
+                rates.append(profile[best])
+                times.append(best)
+    rates = np.array(rates)
+    if not np.isfinite(rates).all():
+        raise WeekfitError("a day profile overflows the float range; the traffic values are too large")
+    return rates, np.array(times, dtype=float), np.full(len(ComponentId), 4.0)
 
 
 def _project(x: np.ndarray) -> np.ndarray:
@@ -319,12 +331,14 @@ def _levenberg_marquardt(problem: _SlotProblem):
         grad = grad[free]
         jac = jac[:, free]
         hessian = jac.T @ (jac * problem.counts[:, None])
-        diagonal = np.diag(hessian)
-        diagonal = np.maximum(diagonal, _LM_DIAGONAL_FLOOR * np.max(diagonal, initial=0.0))
+        base = hessian.diagonal()
+        diagonal = np.maximum(base, _LM_DIAGONAL_FLOOR * base.max(initial=0.0))
+        damped = hessian.copy()
         growth = 2.0
         while damping <= _LM_MAX_DAMPING:
+            damped.flat[:: grad.size + 1] = base + damping * diagonal
             try:
-                delta = np.linalg.solve(hessian + np.diag(damping * diagonal), -grad)
+                delta = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError:
                 delta = np.nan  # a singular system fails like a NaN trial
             trial = x.copy()
@@ -369,14 +383,13 @@ def fit(
     if config is None:
         config = FitConfig()
     _require_full_week(data)
-    start_model = init if init is not None else init_heuristic(data)
 
     # Data and amplitudes are divided by the data maximum (1 for all-zero
     # data) so one step size serves traffic rates of any magnitude.
     scale = float(np.max(data.values)) or 1.0
     problem = _SlotProblem(TrafficSeries(data.values / scale, data.start))
 
-    rates, times, variances = _model_arrays(start_model)
+    rates, times, variances = _heuristic_arrays(data) if init is None else _model_arrays(init)
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()
     solver, exhausted = _SOLVERS[config.method]
     x, trace, stop_reason = _iterate(problem, _project(x), config, solver(problem), exhausted)

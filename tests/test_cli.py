@@ -319,6 +319,21 @@ class TestErrorPaths:
                    "--out", tmp_path / "out.csv") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--weeks", "0"], "argument --weeks: must be >= 1, got 0"),
+            (["synth", "--weeks", "0"], "argument --weeks: must be >= 1, got 0"),
+            (["synth", "--weeks", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+            (["synth", "--weeks", "x"], "argument --weeks: invalid int value: 'x'"),
+        ],
+    )
+    def test_count_flags_name_the_flag(self, tmp_path, gz_path, capsys, argv, message):
+        out = tmp_path / "out.csv"
+        assert run(*argv, "--model", gz_path, "--out", out) == 1
+        assert capsys.readouterr().err.splitlines()[-1].endswith(": error: " + message)
+        assert not out.exists()
+
     def test_unknown_subcommand(self, capsys):
         assert run("frobnicate") == 1
         assert capsys.readouterr().err != ""

@@ -10,6 +10,7 @@ from weekfit import estimator
 from weekfit import (
     ComponentId,
     ComponentParams,
+    DayCategory,
     FitConfig,
     FitReport,
     SeriesTooShortError,
@@ -293,12 +294,19 @@ class TestFit:
         assert str(from_fit.value) == str(from_init.value)
 
     def test_overflowing_objective_raises_without_warning(self):
-        # J overflows in the first; in the second the sums of a week slot do
+        # J overflows in the first; in the second the sums of a week slot
+        # do, in the third the weekday sums of the starting profile
+        overflowing = TrafficSeries(np.full(168, 1e308), 0)
         for values in (np.random.default_rng(0).uniform(0.0, 1e300, 336), np.full(336, 1.7e308)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(WeekfitError, match="overflows"):
                     fit(TrafficSeries(values, 0))
+        for call in (fit, init_heuristic):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(WeekfitError, match="overflows"):
+                    call(overflowing)
 
 
 class TestStopReason:
@@ -382,3 +390,38 @@ def test_lm_reaches_gd_objective(guangzhou, seed):
         config = FitConfig(max_iterations=20000, relative_tolerance=1e-12, method=method)
         finals[method] = fit(train, config).objective_trace[-1]
     assert finals["lm"] <= finals["gd"] * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("method", ["lm", "gd"])
+@pytest.mark.parametrize("city", ["guangzhou", "milan"])
+@pytest.mark.parametrize("seed", range(3))
+def test_default_start_is_init_heuristic(request, city, seed, method):
+    # fit builds its default start as arrays; it must be the public start
+    truth = request.getfixturevalue(city)
+    noise = 0.05 * float(predict_series(truth, 168).values.max())
+    data = generate_synthetic(truth, 2, noise, seed=seed)
+    config = FitConfig(method=method)
+    default, explicit = fit(data, config), fit(data, config, init=init_heuristic(data))
+    assert np.array_equal(default.objective_trace, explicit.objective_trace)
+    assert default.model == explicit.model
+    assert default.stop_reason == explicit.stop_reason
+
+
+@pytest.mark.parametrize("method", ["lm", "gd"])
+def test_zero_weekend_rates_stay_on_the_bound(guangzhou, method):
+    # rates pinned at 0 freeze coordinates in most LM steps (11 of 12 at
+    # this seed), so the damped system is smaller than the full one
+    weekend = {c for c in ComponentId if c.category is not DayCategory.WEEKDAY}
+    truth = WeeklyModel(
+        {
+            comp: ComponentParams(0.0, p.peak_time, p.variance) if comp in weekend else p
+            for comp, p in guangzhou.components.items()
+        }
+    )
+    noise = 1.0 + 0.01 * np.random.default_rng(0).standard_normal(336)
+    data = TrafficSeries(np.maximum(predict_series(truth, 336).values * noise, 0.0), 0)
+    report = fit(data, FitConfig(method=method))
+    for comp in (ComponentId.MSU, ComponentId.ASU, ComponentId.ESU):
+        assert report.model[comp].peak_rate == 0.0, comp
+    assert np.all(np.diff(report.objective_trace) <= 0.0)
+    assert report.objective_trace[-1] <= objective(truth, data)
