@@ -42,7 +42,6 @@ from .model import (
     TrafficSeries,
     WeekClock,
     WeeklyModel,
-    component_value,
     generate_synthetic,
     predict_series,
     sigma_interval,

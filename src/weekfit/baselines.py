@@ -28,5 +28,5 @@ def baseline_predict(kind: BaselineKind, train: TrafficSeries, n_hours: int) -> 
     _require_full_week(train)
     if kind is BaselineKind.SEASONAL_NAIVE:
         train = train.window(len(train) - HOURS_PER_WEEK, len(train))
-    counts, sums = _slot_sums(train)
+    counts, sums = _slot_sums(train.values, train.start)
     return _repeat_week(sums / counts, train.end, n_hours)

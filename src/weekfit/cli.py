@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -221,16 +222,22 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _at_least(lowest: int):
-    """An argparse type: an integer >= ``lowest``, refused with a message naming the flag."""
+def _at_least(lowest: int, kind=int, strict: bool = False, finite: bool = False):
+    """An argparse type: a ``kind`` number >= ``lowest``, refused with a message naming the flag.
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lowest:
-            raise argparse.ArgumentTypeError(f"must be >= {lowest}, got {value}")
+    ``strict`` asks for > ``lowest`` and ``finite`` refuses infinity too; NaN
+    fails every bound.  The bounds are the library's, so no value the CLI
+    accepts is refused later under a library parameter name.
+    """
+    requirement = ("finite and " if finite else "") + (">" if strict else ">=") + f" {lowest}"
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > lowest if strict else value >= lowest) or (finite and value == math.inf):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
         return value
 
-    parse.__name__ = "int"  # a non-integer still reads "invalid int value"
+    parse.__name__ = kind.__name__  # a non-number reads "invalid int value" (or float)
     return parse
 
 
@@ -243,11 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_input_flags(p):
         p.add_argument("--input", required=True)
-        p.add_argument("--train-weeks", type=int, default=SplitSpec.train_weeks)
+        p.add_argument("--train-weeks", type=_at_least(1), default=SplitSpec.train_weeks)
 
     def add_fit_flags(p):
-        p.add_argument("--max-iterations", type=int, default=FitConfig.max_iterations)
-        p.add_argument("--tolerance", type=float, default=FitConfig.relative_tolerance)
+        p.add_argument("--max-iterations", type=_at_least(1), default=FitConfig.max_iterations)
+        p.add_argument("--tolerance", type=_at_least(0, float, strict=True),
+                       default=FitConfig.relative_tolerance)
 
     p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
     add_input_flags(p)
@@ -275,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate noisy synthetic data from a model")
     p.add_argument("--model", required=True)
     p.add_argument("--weeks", type=_at_least(1), required=True)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--noise", type=_at_least(0, float, finite=True), default=0.0)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth)

@@ -30,7 +30,6 @@ from .model import (
     HOURS_PER_WEEK,
     TrafficSeries,
     WeeklyModel,
-    _week_slots,
 )
 
 _PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
@@ -379,7 +378,7 @@ def _write_csv(path, header: list[str], rows: Iterable) -> None:
 def write_series_csv(series: TrafficSeries, path) -> None:
     """Write a series as ``week,day_k,hour,value`` rows."""
     hours = np.arange(series.start, series.end)
-    days = _week_slots(series.start, len(series)) // HOURS_PER_DAY + 1
+    days = hours % HOURS_PER_WEEK // HOURS_PER_DAY + 1
     columns = (hours // HOURS_PER_WEEK, days, hours % HOURS_PER_DAY)
     rows = zip(*(c.tolist() for c in columns), map(repr, series.values.tolist()))
     _write_csv(path, ["week", "day_k", "hour", "value"], rows)

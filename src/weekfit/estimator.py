@@ -148,12 +148,12 @@ class FitReport:
 
 
 class _SlotProblem:
-    """A series reduced to the 168 week slots: counts n_s, means y_s and W = sum (y - y_slot)^2."""
+    """Slot counts n_s, means y_s and W = sum (y - y_slot)^2 of ``values`` from hour ``start``."""
 
-    def __init__(self, data: TrafficSeries):
-        self.counts, sums = _slot_sums(data)
+    def __init__(self, values: np.ndarray, start: int):
+        self.counts, sums = _slot_sums(values, start)
         self.means = sums / np.maximum(self.counts, 1.0)
-        spread = data.values - self.means[_week_slots(data.start, len(data))]
+        spread = values - self.means[_week_slots(start, values.size)]
         self.within = float(spread @ spread)
 
     def at_vector(self, x: np.ndarray) -> _SlotPoint:
@@ -200,7 +200,7 @@ def _vector_jacobian(point: _SlotPoint) -> np.ndarray:
 
 def objective(model: WeeklyModel, data: TrafficSeries) -> float:
     """Sum of squared residuals between the model and the measurements."""
-    return _SlotPoint(_SlotProblem(data), *_model_arrays(model)).value
+    return _SlotPoint(_SlotProblem(data.values, data.start), *_model_arrays(model)).value
 
 
 def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
@@ -209,7 +209,7 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
     Order: canonical component order, (peak_rate, peak_time, variance)
     within each component.
     """
-    point = _SlotPoint(_SlotProblem(data), *_model_arrays(model))
+    point = _SlotPoint(_SlotProblem(data.values, data.start), *_model_arrays(model))
     return 2.0 * (point.jacobian().T @ point.folded)
 
 
@@ -224,13 +224,13 @@ def init_heuristic(data: TrafficSeries) -> WeeklyModel:
     starts at 4 h^2.  Traffic so large that a category's day sum
     overflows raises ``WeekfitError``.
     """
+    _require_full_week(data)
     return _model_from_arrays(*_heuristic_arrays(data))
 
 
 def _heuristic_arrays(data: TrafficSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``init_heuristic`` as (rates, times, variances) in canonical component order."""
-    _require_full_week(data)
-    counts, sums = (a.reshape(DAYS_PER_WEEK, HOURS_PER_DAY) for a in _slot_sums(data))
+    """``init_heuristic`` of a full week or more as (rates, times, variances), canonical order."""
+    counts, sums = (a.reshape(DAYS_PER_WEEK, HOURS_PER_DAY) for a in _slot_sums(data.values, data.start))
     rates, times = [], []
     # canonical order is every period of one category before the next category
     with np.errstate(over="ignore"):  # a day sum that overflows is refused below
@@ -387,7 +387,7 @@ def fit(
     # Data and amplitudes are divided by the data maximum (1 for all-zero
     # data) so one step size serves traffic rates of any magnitude.
     scale = float(np.max(data.values)) or 1.0
-    problem = _SlotProblem(TrafficSeries(data.values / scale, data.start))
+    problem = _SlotProblem(data.values / scale, data.start)
 
     rates, times, variances = _heuristic_arrays(data) if init is None else _model_arrays(init)
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()

@@ -217,10 +217,10 @@ def _week_slots(start: int, n_hours: int) -> np.ndarray:
     return (start + np.arange(n_hours)) % HOURS_PER_WEEK
 
 
-def _slot_sums(series: TrafficSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Sample count and sample sum of each of the 168 week slots."""
-    slots = _week_slots(series.start, len(series))
-    sums = np.bincount(slots, weights=series.values, minlength=HOURS_PER_WEEK)
+def _slot_sums(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample count and sum of the 168 week slots for ``values`` from absolute hour ``start``."""
+    slots = _week_slots(start, values.size)
+    sums = np.bincount(slots, weights=values, minlength=HOURS_PER_WEEK)
     if not np.isfinite(sums).all():
         raise WeekfitError("a slot sum overflows the float range; the traffic values are too large")
     return np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float), sums
@@ -297,15 +297,6 @@ _SLOT_GRID = _SLOT_BASE[:, None] - _TERM_SHIFT[None, :]
 def _values_at(model: WeeklyModel, grid: np.ndarray) -> np.ndarray:
     """Model values at each row of a term ``grid``, e.g. ``_SLOT_GRID``."""
     return _gaussian_terms(*_model_arrays(model), grid)[2]
-
-
-def component_value(params: ComponentParams, offset: float) -> float:
-    """One component evaluated at a signed distance (hours) from its peak.
-
-    The caller supplies the already-shifted argument; the result lies in
-    [0, peak_rate].
-    """
-    return params.peak_rate * math.exp(-(offset * offset) / (2.0 * params.variance))
 
 
 def weekly_value(model: WeeklyModel, clock: WeekClock) -> float:

@@ -134,19 +134,22 @@ class TestSynthFitPipeline:
 
     def test_reversed_rows_with_utc_offset_fit_the_same_model(self, tmp_path, gz_path):
         # time-ordered rows are summed as read; reversed rows are sorted first
-        # and their +00:00 offset is checked, and the model keeps every byte
+        # and their +00:00 offset is checked, with LF or synth's CRLF line
+        # ends, and the model keeps every byte
         data = tmp_path / "data.csv"
         assert run("synth", "--model", gz_path, "--weeks", 4, "--noise", 200,
                    "--seed", 1, "--out", data) == 0
         header, *rows = data.read_text().splitlines()
-        shifted = [row.replace(",", "+00:00,", 1) for row in reversed(rows)]
-        reversed_utc = tmp_path / "reversed_utc.csv"
-        reversed_utc.write_text("\n".join([header, *shifted]) + "\n")
+        shifted = [header] + [row.replace(",", "+00:00,", 1) for row in reversed(rows)]
+        sources = [data]
+        for name, end in (("reversed_utc", "\n"), ("reversed_utc_crlf", "\r\n")):
+            sources.append(tmp_path / f"{name}.csv")
+            sources[-1].write_bytes("".join(line + end for line in shifted).encode())
         fits = []
-        for source in (data, reversed_utc):
+        for source in sources:
             fits.append(tmp_path / f"fit_{source.stem}.json")
             assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
-        assert fits[0].read_bytes() == fits[1].read_bytes()
+        assert fits[0].read_bytes() == fits[1].read_bytes() == fits[2].read_bytes()
 
     def test_lf_and_quoted_copies_fit_the_same_model(self, tmp_path, gz_path):
         # synth writes CRLF; the LF copy is read a column at a time like the
@@ -326,9 +329,31 @@ class TestErrorPaths:
             (["synth", "--weeks", "0"], "argument --weeks: must be >= 1, got 0"),
             (["synth", "--weeks", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
             (["synth", "--weeks", "x"], "argument --weeks: invalid int value: 'x'"),
+            # the input does not exist: the flag is refused before any file is read
+            (["fit", "--input", "missing.csv", "--train-weeks", "0"],
+             "argument --train-weeks: must be >= 1, got 0"),
+            (["evaluate", "--input", "missing.csv", "--train-weeks", "0"],
+             "argument --train-weeks: must be >= 1, got 0"),
+            (["compare", "--input", "missing.csv", "--train-weeks", "0"],
+             "argument --train-weeks: must be >= 1, got 0"),
+            (["fit", "--input", "missing.csv", "--max-iterations", "0"],
+             "argument --max-iterations: must be >= 1, got 0"),
+            (["compare", "--input", "missing.csv", "--tolerance", "0"],
+             "argument --tolerance: must be > 0, got 0.0"),
+            (["fit", "--input", "missing.csv", "--tolerance", "nan"],
+             "argument --tolerance: must be > 0, got nan"),
+            (["fit", "--input", "missing.csv", "--tolerance", "x"],
+             "argument --tolerance: invalid float value: 'x'"),
+            (["synth", "--weeks", "1", "--noise", "-1"],
+             "argument --noise: must be finite and >= 0, got -1.0"),
+            (["synth", "--weeks", "1", "--noise", "inf"],
+             "argument --noise: must be finite and >= 0, got inf"),
+            (["synth", "--weeks", "1", "--noise", "nan"],
+             "argument --noise: must be finite and >= 0, got nan"),
         ],
     )
-    def test_count_flags_name_the_flag(self, tmp_path, gz_path, capsys, argv, message):
+    def test_count_flags_name_the_flag(self, tmp_path, gz_path, capsys, argv, message, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         out = tmp_path / "out.csv"
         assert run(*argv, "--model", gz_path, "--out", out) == 1
         assert capsys.readouterr().err.splitlines()[-1].endswith(": error: " + message)

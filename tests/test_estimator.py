@@ -196,6 +196,10 @@ class TestFitReport:
                 stop_reason="tolerance",
             )
 
+    def test_rejects_empty_trace(self, guangzhou):
+        with pytest.raises(ValueError, match="non-empty"):
+            FitReport(guangzhou, np.array([]), "tolerance")
+
 
 class TestFit:
     def test_recovers_noiseless_reference(self, guangzhou):

@@ -72,6 +72,10 @@ class TestErrors:
         with pytest.raises(ValueError):
             mse([1.0, float("inf")], [0.0, 0.0])
 
+    def test_not_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            mse([[1.0, 2.0]], [[1.0, 2.0]])
+
     def test_constant_actual_r2(self):
         with pytest.raises(ConstantActualError):
             r2([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
@@ -125,6 +129,12 @@ class TestEvalReport:
     def test_mae_cannot_exceed_rmse(self):
         with pytest.raises(ValueError, match="mae"):
             EvalReport(mse=4.0, rmse=2.0, mae=3.0, r2=0.5, n_samples=10)
+
+    def test_rejects_no_samples_and_r2_above_one(self):
+        with pytest.raises(ValueError, match="n_samples"):
+            EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=0.5, n_samples=0)
+        with pytest.raises(ValueError, match="r2"):
+            EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=1.5, n_samples=10)
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(2)

@@ -13,7 +13,6 @@ from weekfit import (
     TrafficSeries,
     WeekClock,
     WeeklyModel,
-    component_value,
     generate_synthetic,
     predict_series,
     sigma_interval,
@@ -172,6 +171,18 @@ class TestTrafficSeries:
         with pytest.raises(ValueError):
             TrafficSeries(np.array([]), 0)
 
+    def test_rejects_bad_start(self):
+        for start in (-1, 1.5):
+            with pytest.raises(ValueError, match="start"):
+                TrafficSeries(np.ones(3), start)
+
+    def test_equality(self):
+        series = TrafficSeries(np.ones(3), 5)
+        assert series == TrafficSeries([1.0, 1.0, 1.0], 5)
+        assert series != TrafficSeries(np.ones(3), 6)
+        assert series != TrafficSeries(np.ones(4), 5)
+        assert (series == "x") is False
+
     def test_clock_indexing(self, tmp_path):
         # start 166 is Sunday 22:00, two hours before the week boundary
         series = TrafficSeries(np.arange(1.0, 201.0), start=166)
@@ -197,23 +208,11 @@ class TestTrafficSeries:
         assert left.end == right.start
         assert np.array_equal(np.concatenate([left.values, right.values]), series.values)
 
-
-class TestComponentValue:
-    def test_peak_at_zero_offset(self, guangzhou):
-        assert component_value(guangzhou[ComponentId.MW], 0.0) == 4626.0
-
-    def test_zero_amplitude(self):
-        assert component_value(ComponentParams(0.0, 10.0, 2.0), 3.7) == 0.0
-
-    def test_one_sigma_offset(self, guangzhou):
-        expected = 4626.0 * math.exp(-0.5)
-        value = component_value(guangzhou[ComponentId.MW], math.sqrt(3.10))
-        assert value == pytest.approx(expected, rel=1e-12)
-
-    def test_bounded_by_peak_rate(self):
-        params = ComponentParams(7.5, 10.0, 2.0)
-        for offset in (-30.0, -1.0, 0.0, 0.4, 12.0):
-            assert 0.0 <= component_value(params, offset) <= params.peak_rate
+    def test_rejects_invalid_window(self):
+        series = TrafficSeries(np.arange(1.0, 11.0), start=5)
+        for i, j in ((5, 3), (0, len(series) + 1)):
+            with pytest.raises(ValueError, match="invalid window"):
+                series.window(i, j)
 
 
 class TestWeeklyValue:
