@@ -45,17 +45,8 @@ from .model import (
 def format_clock(hours: float) -> str:
     """Render an hour count as H:MM, marking day spill as (+1d)/(-1d)."""
     days, hours = divmod(hours, 24.0)
-    day_offset = int(days)
-    minutes = int(round(hours * 60.0))
-    if minutes == 24 * 60:  # rounding can land exactly on midnight
-        minutes = 0
-        day_offset += 1
-    text = f"{minutes // 60}:{minutes % 60:02d}"
-    if day_offset > 0:
-        text += f" (+{day_offset}d)"
-    elif day_offset < 0:
-        text += f" ({day_offset}d)"
-    return text
+    days, minutes = divmod(int(days) * 1440 + round(hours * 60.0), 1440)  # 24:00 carries a day
+    return f"{minutes // 60}:{minutes % 60:02d}" + (f" ({days:+d}d)" if days else "")
 
 
 def _print_table(header: list[str], rows: list[list[str]]) -> None:
@@ -222,18 +213,20 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _at_least(lowest: int, kind=int, strict: bool = False, finite: bool = False):
-    """An argparse type: a ``kind`` number >= ``lowest``, refused with a message naming the flag.
+def _at_least(lowest: int, kind=int, strict: bool = False, below: float = math.inf):
+    """An argparse type: a ``kind`` number >= ``lowest`` and < ``below``, refused naming the flag.
 
-    ``strict`` asks for > ``lowest`` and ``finite`` refuses infinity too; NaN
-    fails every bound.  The bounds are the library's, so no value the CLI
+    ``strict`` asks for > ``lowest``; infinity fails the default ``below``
+    and NaN every bound.  The bounds are the library's, so no value the CLI
     accepts is refused later under a library parameter name.
     """
-    requirement = ("finite and " if finite else "") + (">" if strict else ">=") + f" {lowest}"
+    upper = f" and < {below}" if below < math.inf else ""
+    finite = "finite and " if kind is float and not upper else ""
+    requirement = finite + (">" if strict else ">=") + f" {lowest}" + upper
 
     def parse(text: str):
         value = kind(text)
-        if not (value > lowest if strict else value >= lowest) or (finite and value == math.inf):
+        if not ((value > lowest if strict else value >= lowest) and value < below):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
         return value
 
@@ -254,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_fit_flags(p):
         p.add_argument("--max-iterations", type=_at_least(1), default=FitConfig.max_iterations)
-        p.add_argument("--tolerance", type=_at_least(0, float, strict=True),
+        p.add_argument("--tolerance", type=_at_least(0, float, strict=True, below=1),
                        default=FitConfig.relative_tolerance)
 
     p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
@@ -283,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate noisy synthetic data from a model")
     p.add_argument("--model", required=True)
     p.add_argument("--weeks", type=_at_least(1), required=True)
-    p.add_argument("--noise", type=_at_least(0, float, finite=True), default=0.0)
+    p.add_argument("--noise", type=_at_least(0, float), default=0.0)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_synth)

@@ -22,6 +22,7 @@ from .errors import (
     ModelFormatError,
     SeriesTooShortError,
     WeekfitError,
+    _finite,
 )
 from .model import (
     ComponentId,
@@ -77,8 +78,9 @@ class SplitSpec:
     train_weeks: int = 2
 
     def __post_init__(self):
-        if self.train_weeks < 1:
-            raise ValueError(f"train_weeks must be >= 1, got {self.train_weeks}")
+        if not (self.train_weeks >= 1 and self.train_weeks % 1 == 0):
+            raise ValueError(f"train_weeks must be an integer >= 1, got {self.train_weeks!r}")
+        object.__setattr__(self, "train_weeks", int(self.train_weeks))
 
 
 def load_csv(source) -> Readings:
@@ -249,7 +251,7 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     # running sum would; np.add.reduceat and np.sum add pairwise and differ
     # in the last bits
     slots = np.concatenate(([0], np.cumsum(steps != 0)))
-    sums = np.bincount(slots, weights=values)
+    sums = _finite(np.bincount(slots, weights=values), "an hourly sum")
     first = stamps[0]
     start = first.weekday() * HOURS_PER_DAY + first.hour
     return TrafficSeries(sums, start)

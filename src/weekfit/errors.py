@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one overflow rule, ``_finite``."""
+
+import numpy as np
 
 
 class WeekfitError(Exception):
@@ -27,3 +29,10 @@ class ModelFormatError(WeekfitError):
 
 class ConstantActualError(WeekfitError):
     """R2 is undefined because the actual values have zero variance."""
+
+
+def _finite(values, what: str):
+    """``values`` unchanged; an entry past the float range (traffic too large) raises WeekfitError."""
+    if not np.isfinite(values).all():
+        raise WeekfitError(f"{what} overflows the float range; the traffic values are too large")
+    return values

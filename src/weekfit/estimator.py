@@ -29,12 +29,11 @@ trace is non-increasing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WeekfitError
+from .errors import _finite
 from .model import (
     _SLOT_GRID,
     _TERM_COMPONENT,
@@ -94,7 +93,8 @@ class FitConfig:
 
     ``method`` picks the solver: ``"lm"`` (Levenberg-Marquardt, default) or
     ``"gd"`` (projected gradient descent).  ``relative_tolerance`` applies to
-    the per-iteration objective drop |dJ| / max(J, 1e-12).
+    the per-iteration objective drop |dJ| / max(J, 1e-12).  J never rises, so
+    the drop lies in [0, 1], and only a tolerance in (0, 1) can mean convergence.
     """
 
     max_iterations: int = 5000
@@ -102,12 +102,13 @@ class FitConfig:
     method: str = "lm"
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if not self.relative_tolerance > 0.0:
-            raise ValueError(f"relative_tolerance must be > 0, got {self.relative_tolerance}")
+        if not (self.max_iterations >= 1 and self.max_iterations % 1 == 0):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        if not 0.0 < self.relative_tolerance < 1.0:
+            raise ValueError(f"relative_tolerance must be > 0 and < 1, got {self.relative_tolerance}")
         if self.method not in _SOLVERS:
             raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {self.method!r}")
+        object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,7 @@ def _heuristic_arrays(data: TrafficSeries) -> tuple[np.ndarray, np.ndarray, np.n
                 best = lo + int(profile[lo:hi].argmax())
                 rates.append(profile[best])
                 times.append(best)
-    rates = np.array(rates)
-    if not np.isfinite(rates).all():
-        raise WeekfitError("a day profile overflows the float range; the traffic values are too large")
+    rates = _finite(np.array(rates), "a day profile")
     return rates, np.array(times, dtype=float), np.full(len(ComponentId), 4.0)
 
 
@@ -393,9 +392,7 @@ def fit(
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()
     solver, exhausted = _SOLVERS[config.method]
     x, trace, stop_reason = _iterate(problem, _project(x), config, solver(problem), exhausted)
-    # The trace is reported in measurement units; trace[0] is its largest entry.
-    if not math.isfinite(trace[0] * scale * scale):
-        raise WeekfitError("J overflows the float range; the traffic values are too large")
+    _finite(trace[0] * scale * scale, "J")  # trace[0], in measurement units, is the largest entry
 
     return FitReport(
         model=_model_from_arrays(x[0::3] * scale, x[1::3], np.exp(x[2::3])),

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConstantActualError, WeekfitError
+from .errors import ConstantActualError, _finite
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -24,20 +24,13 @@ def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     return a, p
 
 
-def _finite(value, name: str) -> float:
-    """``value`` as a float; a result past the float range raises WeekfitError."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise WeekfitError(f"{name} overflows the float range; the values are too large")
-    return value
-
-
-# The metric functions silence numpy's overflow warning; _finite reports it.
+# The metric functions silence numpy's overflow warning (_finite reports it)
+# and return Python floats, whose repr names no numpy type.
 @np.errstate(over="ignore")
 def mse(actual, predicted) -> float:
     """Mean squared error."""
     a, p = _paired(actual, predicted)
-    return _finite(np.mean((a - p) ** 2), "mse")
+    return float(_finite(np.mean((a - p) ** 2), "mse"))
 
 
 def rmse(actual, predicted) -> float:
@@ -49,7 +42,7 @@ def rmse(actual, predicted) -> float:
 def mae(actual, predicted) -> float:
     """Mean absolute error."""
     a, p = _paired(actual, predicted)
-    return _finite(np.mean(np.abs(a - p)), "mae")
+    return float(_finite(np.mean(np.abs(a - p)), "mae"))
 
 
 @np.errstate(over="ignore")
@@ -65,7 +58,7 @@ def r2(actual, predicted) -> float:
     if ss_tot == 0.0:
         raise ConstantActualError("R2 is undefined for constant actual values")
     ss_res = _finite(np.sum((a - p) ** 2), "r2")
-    return _finite(1.0 - ss_res / ss_tot, "r2")
+    return float(_finite(1.0 - ss_res / ss_tot, "r2"))
 
 
 @dataclass(frozen=True)

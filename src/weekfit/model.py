@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SeriesTooShortError, WeekfitError
+from .errors import SeriesTooShortError, _finite
 
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
@@ -220,17 +220,15 @@ def _week_slots(start: int, n_hours: int) -> np.ndarray:
 def _slot_sums(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     """Sample count and sum of the 168 week slots for ``values`` from absolute hour ``start``."""
     slots = _week_slots(start, values.size)
-    sums = np.bincount(slots, weights=values, minlength=HOURS_PER_WEEK)
-    if not np.isfinite(sums).all():
-        raise WeekfitError("a slot sum overflows the float range; the traffic values are too large")
+    sums = _finite(np.bincount(slots, weights=values, minlength=HOURS_PER_WEEK), "a slot sum")
     return np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float), sums
 
 
 def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries:
     """The 168-slot ``profile`` repeated over ``n_hours`` hours from absolute hour ``start``."""
-    if n_hours < 1:
-        raise ValueError(f"n_hours must be >= 1, got {n_hours}")
-    return TrafficSeries(profile[_week_slots(start, n_hours)], start)
+    if not (n_hours >= 1 and n_hours % 1 == 0):
+        raise ValueError(f"n_hours must be an integer >= 1, got {n_hours!r}")
+    return TrafficSeries(profile[_week_slots(start, int(n_hours))], start)
 
 
 # One Gaussian term is evaluated per (component, covered day, week copy).
@@ -294,9 +292,10 @@ _SLOT_BASE = np.arange(float(HOURS_PER_WEEK)) + HOURS_PER_DAY
 _SLOT_GRID = _SLOT_BASE[:, None] - _TERM_SHIFT[None, :]
 
 
+@np.errstate(over="ignore")  # _finite refuses a rate that overflows
 def _values_at(model: WeeklyModel, grid: np.ndarray) -> np.ndarray:
     """Model values at each row of a term ``grid``, e.g. ``_SLOT_GRID``."""
-    return _gaussian_terms(*_model_arrays(model), grid)[2]
+    return _finite(_gaussian_terms(*_model_arrays(model), grid)[2], "a modeled rate")
 
 
 def weekly_value(model: WeeklyModel, clock: WeekClock) -> float:
@@ -333,6 +332,7 @@ def sigma_interval(params: ComponentParams) -> tuple[float, float]:
     return params.peak_time - sigma, params.peak_time + sigma
 
 
+@np.errstate(over="ignore")  # _finite refuses a noisy rate that overflows
 def generate_synthetic(
     model: WeeklyModel, n_weeks: int, noise_std: float, seed: int
 ) -> TrafficSeries:
@@ -341,11 +341,10 @@ def generate_synthetic(
     Deterministic for a fixed seed; with noise_std = 0 the output equals
     ``predict_series`` over the same horizon exactly.
     """
-    if n_weeks < 1:
-        raise ValueError(f"n_weeks must be >= 1, got {n_weeks}")
+    if not (n_weeks >= 1 and n_weeks % 1 == 0):
+        raise ValueError(f"n_weeks must be an integer >= 1, got {n_weeks!r}")
     if not math.isfinite(noise_std) or noise_std < 0.0:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
-    clean = predict_series(model, n_weeks * HOURS_PER_WEEK)
-    rng = np.random.default_rng(seed)
-    noisy = clean.values + rng.normal(0.0, noise_std, len(clean))
-    return TrafficSeries(np.maximum(noisy, 0.0), clean.start)
+    clean = predict_series(model, int(n_weeks) * HOURS_PER_WEEK)
+    noisy = clean.values + np.random.default_rng(seed).normal(0.0, noise_std, len(clean))
+    return TrafficSeries(np.maximum(_finite(noisy, "a noisy rate"), 0.0), clean.start)

@@ -303,16 +303,30 @@ class TestErrorPaths:
     def test_overflowing_values(self, tmp_path, gz_path, capsys):
         data = tmp_path / "huge.csv"
         start = datetime(2024, 1, 1)
+        stamps = [(start + timedelta(hours=h)).isoformat() for h in range(360)]
+        # two 1e308 readings in the first hour: its hourly sum overflows
+        two_in_one_hour = ([("2024-01-01T00:30:00", 1e308)]
+                           + [(stamp, 1e308 if h == 0 else 1.0) for h, stamp in enumerate(stamps)])
         # J overflows in the first; in the second the sums of a week slot do
-        for values in (np.random.default_rng(0).uniform(0.0, 1e300, 360), np.full(360, 1.7e308)):
-            rows = [f"{(start + timedelta(hours=h)).isoformat()},{v!r}" for h, v in enumerate(values.tolist())]
-            data.write_text("timestamp,value\n" + "\n".join(rows) + "\n")
+        for rows in ([*zip(stamps, np.random.default_rng(0).uniform(0.0, 1e300, 360).tolist())],
+                     [(stamp, 1.7e308) for stamp in stamps],
+                     sorted(two_in_one_hour)):
+            data.write_text("timestamp,value\n" + "".join(f"{t},{v!r}\n" for t, v in rows))
             for argv in (["fit", "--input", data, "--out", tmp_path / "m.json"],
                          ["evaluate", "--model", gz_path, "--input", data],
                          ["compare", "--input", data]):
                 assert run(*argv) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and "too large" in err
+        # every modeled rate of this model overflows, and so does noise of 1e308
+        huge = tmp_path / "huge.json"
+        save_model(WeeklyModel({c: ComponentParams(1.7e308, 12.0, 50.0) for c in ComponentId}), huge)
+        for argv in (["predict", "--model", huge, "--weeks", 1],
+                     ["synth", "--model", huge, "--weeks", 1],
+                     ["synth", "--model", gz_path, "--weeks", 1, "--noise", 1e308]):
+            assert run(*argv, "--out", tmp_path / "out.csv") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "too large" in err
 
     @pytest.mark.parametrize("command", ["predict", "synth"])
     def test_oversized_horizon(self, tmp_path, gz_path, capsys, command):
@@ -339,9 +353,9 @@ class TestErrorPaths:
             (["fit", "--input", "missing.csv", "--max-iterations", "0"],
              "argument --max-iterations: must be >= 1, got 0"),
             (["compare", "--input", "missing.csv", "--tolerance", "0"],
-             "argument --tolerance: must be > 0, got 0.0"),
+             "argument --tolerance: must be > 0 and < 1, got 0.0"),
             (["fit", "--input", "missing.csv", "--tolerance", "nan"],
-             "argument --tolerance: must be > 0, got nan"),
+             "argument --tolerance: must be > 0 and < 1, got nan"),
             (["fit", "--input", "missing.csv", "--tolerance", "x"],
              "argument --tolerance: invalid float value: 'x'"),
             (["synth", "--weeks", "1", "--noise", "-1"],
@@ -350,6 +364,11 @@ class TestErrorPaths:
              "argument --noise: must be finite and >= 0, got inf"),
             (["synth", "--weeks", "1", "--noise", "nan"],
              "argument --noise: must be finite and >= 0, got nan"),
+            # the relative drop of J lies in [0, 1], so these would stop at the first step
+            (["fit", "--input", "missing.csv", "--tolerance", "1"],
+             "argument --tolerance: must be > 0 and < 1, got 1.0"),
+            (["compare", "--input", "missing.csv", "--tolerance", "inf"],
+             "argument --tolerance: must be > 0 and < 1, got inf"),
         ],
     )
     def test_count_flags_name_the_flag(self, tmp_path, gz_path, capsys, argv, message, monkeypatch):

@@ -435,6 +435,9 @@ class TestSplit:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SplitSpec(train_weeks=0)
+        with pytest.raises(ValueError, match="train_weeks"):
+            SplitSpec(train_weeks=1.5)
+        assert type(SplitSpec(train_weeks=2.0).train_weeks) is int
 
 
 class TestModelPersistence:

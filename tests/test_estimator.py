@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from weekfit import (
     DayCategory,
     FitConfig,
     FitReport,
+    Readings,
     SeriesTooShortError,
     SplitSpec,
     TrafficSeries,
+    WeekClock,
     WeekfitError,
     WeeklyModel,
+    aggregate_hourly,
+    bundled_model,
     fit,
     generate_synthetic,
     gradient,
@@ -25,6 +30,7 @@ from weekfit import (
     objective,
     predict_series,
     split,
+    weekly_value,
     write_trace_csv,
 )
 
@@ -36,6 +42,9 @@ from oracles import finite_difference_gradient, naive_init_heuristic, naive_obje
 # mid-week starts whose slots hold 2 to 4 samples, so the within-slot sum
 # of squares W is not zero
 _SHAPES = [(168, 0), (420, 61), (505, 167)]
+
+# every modeled rate overflows where the nine 1.7e308 components overlap
+_HUGE = WeeklyModel({c: ComponentParams(1.7e308, 12.0, 50.0) for c in ComponentId})
 
 
 class TestObjective:
@@ -181,8 +190,13 @@ class TestFitConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             FitConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            FitConfig(relative_tolerance=0.0)
+        with pytest.raises(ValueError, match="max_iterations"):
+            FitConfig(max_iterations=2.5)
+        assert type(FitConfig(max_iterations=2.0).max_iterations) is int
+        # the relative drop of J lies in [0, 1], so a tolerance of 1 or more stops at once
+        for tolerance in (0.0, 1.0, float("inf")):
+            with pytest.raises(ValueError, match="relative_tolerance"):
+                FitConfig(relative_tolerance=tolerance)
         with pytest.raises(ValueError, match="method"):
             FitConfig(method="newton")
 
@@ -311,6 +325,27 @@ class TestFit:
                 warnings.simplefilter("error")
                 with pytest.raises(WeekfitError, match="overflows"):
                     call(overflowing)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # two readings of 1e308 in one hour
+            lambda: aggregate_hourly(
+                Readings([datetime(2024, 1, 1, 0, 0), datetime(2024, 1, 1, 0, 30)], [1e308, 1e308])
+            ),
+            lambda: predict_series(_HUGE, 168),
+            lambda: weekly_value(_HUGE, WeekClock(3, 12.0)),
+            lambda: generate_synthetic(_HUGE, 1, 0.0, seed=0),
+            lambda: generate_synthetic(bundled_model("guangzhou"), 1, 1e308, seed=0),
+        ],
+        ids=["aggregate_hourly", "predict_series", "weekly_value", "generate_synthetic",
+             "generate_synthetic-noise"],
+    )
+    def test_overflowing_producer_raises_without_warning(self, call):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(WeekfitError, match="overflows"):
+                call()
 
 
 class TestStopReason:

@@ -322,6 +322,9 @@ class TestPredictSeries:
     def test_rejects_empty_horizon(self, guangzhou):
         with pytest.raises(ValueError):
             predict_series(guangzhou, 0)
+        with pytest.raises(ValueError, match="n_hours"):
+            predict_series(guangzhou, 2.5)
+        assert predict_series(guangzhou, 2.0) == predict_series(guangzhou, 2)
 
 
 class TestSigmaInterval:
@@ -379,6 +382,8 @@ class TestGenerateSynthetic:
     def test_validation(self, guangzhou):
         with pytest.raises(ValueError):
             generate_synthetic(guangzhou, 0, 1.0, seed=0)
+        with pytest.raises(ValueError, match="n_weeks"):
+            generate_synthetic(guangzhou, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(guangzhou, 1, -1.0, seed=0)
 
