@@ -18,13 +18,14 @@ class BaselineKind(enum.Enum):
     WEEKLY_PROFILE_MEAN = "weekly_profile_mean"
 
 
-def baseline_predict(kind: BaselineKind, train: TrafficSeries, n_hours: int) -> TrafficSeries:
+def baseline_predict(kind: BaselineKind | str, train: TrafficSeries, n_hours: int) -> TrafficSeries:
     """Forecast ``n_hours`` starting the hour after the training window ends.
 
     Both baselines are exactly 168-hour periodic: output hour j is the mean
     of the training samples that lie a whole number of weeks before
     ``train.end + j``.  A partial leading week is accepted.
     """
+    kind = BaselineKind(kind)
     _require_full_week(train)
     if kind is BaselineKind.SEASONAL_NAIVE:
         train = train.window(len(train) - HOURS_PER_WEEK, len(train))

@@ -23,6 +23,7 @@ from .errors import (
     SeriesTooShortError,
     WeekfitError,
     _finite,
+    _integer,
 )
 from .model import (
     ComponentId,
@@ -78,9 +79,7 @@ class SplitSpec:
     train_weeks: int = 2
 
     def __post_init__(self):
-        if not (self.train_weeks >= 1 and self.train_weeks % 1 == 0):
-            raise ValueError(f"train_weeks must be an integer >= 1, got {self.train_weeks!r}")
-        object.__setattr__(self, "train_weeks", int(self.train_weeks))
+        object.__setattr__(self, "train_weeks", _integer(self.train_weeks, "train_weeks", 1))
 
 
 def load_csv(source) -> Readings:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package, and its one overflow rule, ``_finite``."""
+"""Exception types, and the package's overflow rule ``_finite`` and integer rule ``_integer``."""
+
+import numbers
 
 import numpy as np
 
@@ -36,3 +38,10 @@ def _finite(values, what: str):
     if not np.isfinite(values).all():
         raise WeekfitError(f"{what} overflows the float range; the traffic values are too large")
     return values
+
+
+def _integer(value, what: str, lowest: int) -> int:
+    """``int(value)`` for an int or integral float >= ``lowest``; anything else raises ValueError."""
+    if not (isinstance(value, numbers.Real) and lowest <= value < np.inf and value % 1 == 0):
+        raise ValueError(f"{what} must be an integer >= {lowest}, got {value!r}")
+    return int(value)

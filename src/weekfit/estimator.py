@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _finite
+from .errors import _finite, _integer
 from .model import (
     _SLOT_GRID,
     _TERM_COMPONENT,
@@ -102,13 +102,11 @@ class FitConfig:
     method: str = "lm"
 
     def __post_init__(self):
-        if not (self.max_iterations >= 1 and self.max_iterations % 1 == 0):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations", 1))
         if not 0.0 < self.relative_tolerance < 1.0:
             raise ValueError(f"relative_tolerance must be > 0 and < 1, got {self.relative_tolerance}")
         if self.method not in _SOLVERS:
             raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {self.method!r}")
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConstantActualError, _finite
+from .errors import ConstantActualError, _finite, _integer
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -76,8 +76,7 @@ class EvalReport:
     n_samples: int
 
     def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
         if self.rmse != math.sqrt(self.mse):
             raise ValueError("rmse must equal sqrt(mse) exactly")
         if self.mae > self.rmse * (1.0 + 1e-12):

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SeriesTooShortError, _finite
+from .errors import SeriesTooShortError, _finite, _integer
 
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
@@ -145,7 +145,7 @@ class WeekClock:
     hour: float
 
     def __post_init__(self):
-        if int(self.day) != self.day or not 1 <= self.day <= DAYS_PER_WEEK:
+        if _integer(self.day, "day", 1) > DAYS_PER_WEEK:
             raise ValueError(f"day must be an integer in [1, 7], got {self.day!r}")
         hour = float(self.hour)
         if not math.isfinite(hour) or not 0.0 <= hour < HOURS_PER_DAY:
@@ -155,8 +155,8 @@ class WeekClock:
 
 
 def week_clock_at(hour_index: int) -> tuple[int, WeekClock]:
-    """Week number and clock for an absolute hour counter (0 = Monday 00:00 of week 0)."""
-    week, in_week = divmod(int(hour_index), HOURS_PER_WEEK)
+    """Week number and clock of a non-negative integer hour counter (0 = Monday 00:00 of week 0)."""
+    week, in_week = divmod(_integer(hour_index, "hour_index", 0), HOURS_PER_WEEK)
     day, hour = divmod(in_week, HOURS_PER_DAY)
     return week, WeekClock(day + 1, float(hour))
 
@@ -181,11 +181,9 @@ class TrafficSeries:
             raise ValueError("values must all be finite")
         if np.any(values < 0.0):
             raise ValueError("values must all be >= 0")
-        if int(self.start) != self.start or self.start < 0:
-            raise ValueError(f"start must be a non-negative integer, got {self.start!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "start", int(self.start))
+        object.__setattr__(self, "start", _integer(self.start, "start", 0))
 
     def __len__(self) -> int:
         return self.values.size
@@ -202,7 +200,8 @@ class TrafficSeries:
 
     def window(self, i: int, j: int) -> "TrafficSeries":
         """Sub-series covering samples [i, j)."""
-        if not 0 <= i < j <= len(self):
+        i, j = _integer(i, "i", 0), _integer(j, "j", 0)
+        if not i < j <= len(self):
             raise ValueError(f"invalid window [{i}, {j}) for series of length {len(self)}")
         return TrafficSeries(self.values[i:j], self.start + i)
 
@@ -226,9 +225,7 @@ def _slot_sums(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries:
     """The 168-slot ``profile`` repeated over ``n_hours`` hours from absolute hour ``start``."""
-    if not (n_hours >= 1 and n_hours % 1 == 0):
-        raise ValueError(f"n_hours must be an integer >= 1, got {n_hours!r}")
-    return TrafficSeries(profile[_week_slots(start, int(n_hours))], start)
+    return TrafficSeries(profile[_week_slots(start, _integer(n_hours, "n_hours", 1))], start)
 
 
 # One Gaussian term is evaluated per (component, covered day, week copy).
@@ -318,8 +315,8 @@ def predict_series(
     """
     if start_clock.hour != int(start_clock.hour):
         raise ValueError(f"start hour must be integral, got {start_clock.hour!r}")
-    first = (start_week * DAYS_PER_WEEK + start_clock.day - 1) * HOURS_PER_DAY + int(start_clock.hour)
-    return _repeat_week(_values_at(model, _SLOT_GRID), first, n_hours)
+    first = (_integer(start_week, "start_week", 0) * DAYS_PER_WEEK + start_clock.day - 1) * HOURS_PER_DAY
+    return _repeat_week(_values_at(model, _SLOT_GRID), first + int(start_clock.hour), n_hours)
 
 
 def sigma_interval(params: ComponentParams) -> tuple[float, float]:
@@ -341,10 +338,8 @@ def generate_synthetic(
     Deterministic for a fixed seed; with noise_std = 0 the output equals
     ``predict_series`` over the same horizon exactly.
     """
-    if not (n_weeks >= 1 and n_weeks % 1 == 0):
-        raise ValueError(f"n_weeks must be an integer >= 1, got {n_weeks!r}")
     if not math.isfinite(noise_std) or noise_std < 0.0:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
-    clean = predict_series(model, int(n_weeks) * HOURS_PER_WEEK)
-    noisy = clean.values + np.random.default_rng(seed).normal(0.0, noise_std, len(clean))
-    return TrafficSeries(np.maximum(_finite(noisy, "a noisy rate"), 0.0), clean.start)
+    clean = predict_series(model, _integer(n_weeks, "n_weeks", 1) * HOURS_PER_WEEK)
+    noise = np.random.default_rng(_integer(seed, "seed", 0)).normal(0.0, noise_std, len(clean))
+    return TrafficSeries(np.maximum(_finite(clean.values + noise, "a noisy rate"), 0.0), clean.start)

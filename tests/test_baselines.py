@@ -61,6 +61,16 @@ class TestBaselinePredict:
         assert out.start == 198
         assert np.array_equal(out.values, train.values)
 
+    def test_kind_by_value_selects_that_baseline(self):
+        # two different weeks, so the two baselines give different forecasts
+        rng = np.random.default_rng(6)
+        train = TrafficSeries(rng.uniform(1, 9, 336), 0)
+        by_member = baseline_predict(BaselineKind.SEASONAL_NAIVE, train, 168)
+        assert baseline_predict("seasonal_naive", train, 168) == by_member
+        assert by_member != baseline_predict(BaselineKind.WEEKLY_PROFILE_MEAN, train, 168)
+        with pytest.raises(ValueError, match="BaselineKind"):
+            baseline_predict("naive", train, 168)
+
     def test_too_short_train(self):
         with pytest.raises(SeriesTooShortError):
             baseline_predict(BaselineKind.SEASONAL_NAIVE, TrafficSeries(np.ones(100), 0), 24)

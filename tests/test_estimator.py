@@ -193,6 +193,9 @@ class TestFitConfig:
         with pytest.raises(ValueError, match="max_iterations"):
             FitConfig(max_iterations=2.5)
         assert type(FitConfig(max_iterations=2.0).max_iterations) is int
+        for max_iterations in (float("nan"), float("inf"), "3"):
+            with pytest.raises(ValueError, match="max_iterations"):
+                FitConfig(max_iterations=max_iterations)
         # the relative drop of J lies in [0, 1], so a tolerance of 1 or more stops at once
         for tolerance in (0.0, 1.0, float("inf")):
             with pytest.raises(ValueError, match="relative_tolerance"):

@@ -133,6 +133,9 @@ class TestEvalReport:
     def test_rejects_no_samples_and_r2_above_one(self):
         with pytest.raises(ValueError, match="n_samples"):
             EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=0.5, n_samples=0)
+        for n_samples in (1.5, float("nan")):
+            with pytest.raises(ValueError, match="n_samples"):
+                EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=0.5, n_samples=n_samples)
         with pytest.raises(ValueError, match="r2"):
             EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=1.5, n_samples=10)
 

@@ -149,6 +149,9 @@ class TestWeekClock:
             WeekClock(8, 1.0)
         with pytest.raises(ValueError):
             WeekClock(3, 24.0)
+        for day in (float("nan"), float("inf"), 2.5):
+            with pytest.raises(ValueError, match="day"):
+                WeekClock(day, 0.0)
 
     def test_week_clock_at_rolls_days_and_weeks(self):
         assert week_clock_at(0) == (0, WeekClock(1, 0.0))
@@ -156,6 +159,9 @@ class TestWeekClock:
         assert week_clock_at(24) == (0, WeekClock(2, 0.0))
         assert week_clock_at(167) == (0, WeekClock(7, 23.0))
         assert week_clock_at(168) == (1, WeekClock(1, 0.0))
+        for hour_index in (1.5, -1):
+            with pytest.raises(ValueError, match="hour_index"):
+                week_clock_at(hour_index)
 
 
 class TestTrafficSeries:
@@ -172,9 +178,10 @@ class TestTrafficSeries:
             TrafficSeries(np.array([]), 0)
 
     def test_rejects_bad_start(self):
-        for start in (-1, 1.5):
+        for start in (-1, 1.5, float("nan"), float("inf"), "3"):
             with pytest.raises(ValueError, match="start"):
                 TrafficSeries(np.ones(3), start)
+        assert type(TrafficSeries(np.ones(3), np.int64(4)).start) is int
 
     def test_equality(self):
         series = TrafficSeries(np.ones(3), 5)
@@ -213,6 +220,10 @@ class TestTrafficSeries:
         for i, j in ((5, 3), (0, len(series) + 1)):
             with pytest.raises(ValueError, match="invalid window"):
                 series.window(i, j)
+        for i, j in ((float("nan"), 3), (1.5, 3)):
+            with pytest.raises(ValueError):
+                series.window(i, j)
+        assert series.window(1.0, 3) == series.window(1, 3)
 
 
 class TestWeeklyValue:
@@ -318,6 +329,10 @@ class TestPredictSeries:
     def test_rejects_fractional_start(self, guangzhou):
         with pytest.raises(ValueError, match="integral"):
             predict_series(guangzhou, 10, start_clock=WeekClock(1, 0.5))
+        for start_week in (1.5, -1):
+            with pytest.raises(ValueError, match="start_week"):
+                predict_series(guangzhou, 10, start_week=start_week)
+        assert predict_series(guangzhou, 10, start_week=2.0) == predict_series(guangzhou, 10, start_week=2)
 
     def test_rejects_empty_horizon(self, guangzhou):
         with pytest.raises(ValueError):
@@ -386,6 +401,9 @@ class TestGenerateSynthetic:
             generate_synthetic(guangzhou, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(guangzhou, 1, -1.0, seed=0)
+        for seed in (1.5, -1):
+            with pytest.raises(ValueError, match="seed"):
+                generate_synthetic(guangzhou, 1, 1.0, seed=seed)
 
 
 def test_random_models_match_brute_force_tightly():
