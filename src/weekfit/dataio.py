@@ -24,6 +24,8 @@ from .errors import (
     WeekfitError,
     _finite,
     _integer,
+    _real,
+    _reals,
 )
 from .model import (
     ComponentId,
@@ -59,16 +61,12 @@ class Readings:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
+        values = _reals(self.values, "value")
         if values.shape != (len(self.timestamps),):
             raise ValueError(
                 f"need one value per timestamp, got {values.size} values "
                 f"for {len(self.timestamps)} timestamps"
             )
-        invalid = ~((values >= 0.0) & (values < np.inf))  # NaN fails both tests
-        if invalid.any():
-            raise ValueError(f"value must be finite and >= 0, got {float(values[invalid][0])!r}")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
 
@@ -339,15 +337,10 @@ def load_model(path) -> WeeklyModel:
         for name in _PARAM_FIELDS:
             if name not in entry:
                 raise ModelFormatError(f"component {comp.value!r} is missing {name!r}")
-            value = entry[name]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ModelFormatError(f"{comp.value}.{name} must be a number")
             try:
-                values[name] = float(value)
-            except OverflowError:  # an integer beyond the float range
-                values[name] = math.inf
-            if not math.isfinite(values[name]):
-                raise ModelFormatError(f"{comp.value}.{name} must be finite")
+                values[name] = _real(entry[name], f"{comp.value}.{name}")
+            except ValueError as exc:
+                raise ModelFormatError(str(exc)) from None
         try:
             components[comp] = ComponentParams(**values)
         except ValueError as exc:
@@ -378,6 +371,8 @@ def _write_csv(path, header: list[str], rows: Iterable) -> None:
 
 def write_series_csv(series: TrafficSeries, path) -> None:
     """Write a series as ``week,day_k,hour,value`` rows."""
+    if series.end > np.iinfo(np.int64).max:  # np.arange would count in float64
+        raise WeekfitError(f"hour {series.end - 1} is past {2**63 - 2}, the last in a series CSV")
     hours = np.arange(series.start, series.end)
     days = hours % HOURS_PER_WEEK // HOURS_PER_DAY + 1
     columns = (hours // HOURS_PER_WEEK, days, hours % HOURS_PER_DAY)

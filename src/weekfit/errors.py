@@ -1,5 +1,7 @@
-"""Exception types, and the package's overflow rule ``_finite`` and integer rule ``_integer``."""
+"""Exception types, and the package's rules for numbers: ``_finite`` for overflow,
+``_integer`` for whole numbers, and ``_real`` and ``_reals`` for real numbers."""
 
+import math
 import numbers
 
 import numpy as np
@@ -41,7 +43,35 @@ def _finite(values, what: str):
 
 
 def _integer(value, what: str, lowest: int) -> int:
-    """``int(value)`` for an int or integral float >= ``lowest``; anything else raises ValueError."""
-    if not (isinstance(value, numbers.Real) and lowest <= value < np.inf and value % 1 == 0):
+    """``int(value)`` for an int (not a bool) or integral float >= ``lowest``, else ValueError."""
+    is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (is_number and lowest <= value < np.inf and value % 1 == 0):
         raise ValueError(f"{what} must be an integer >= {lowest}, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str, lowest=-math.inf, strict=False, below=math.inf) -> float:
+    """``float(value)`` of a finite real >= ``lowest`` (> if ``strict``) and < ``below``, or ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range counts as infinite
+        number = math.inf if value > 0 else -math.inf
+    if not (-math.inf < number < below and (number > lowest if strict else number >= lowest)):
+        bounds = [f"{'>' if strict else '>='} {lowest}"] if lowest > -math.inf else []
+        bounds = bounds + [f"< {below}"] if below < math.inf else ["finite", *bounds]
+        raise ValueError(f"{what} must be {' and '.join(bounds)}, got {number!r}")
+    return number
+
+
+def _reals(values, what: str, lowest=0) -> np.ndarray:
+    """A read-only float copy of ``values`` if all are finite numbers >= ``lowest``, else ValueError."""
+    if np.asarray(values).dtype.kind not in "iuf":  # strings, bools and objects
+        raise ValueError(f"{what} must hold numbers, got dtype {np.asarray(values).dtype}")
+    array = np.array(values, dtype=float)
+    invalid = ~(np.isfinite(array) & (array >= lowest))
+    if invalid.any():
+        _real(array[invalid][0], what, lowest)  # raises, naming the first invalid entry
+    array.setflags(write=False)
+    return array

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _finite, _integer
+from .errors import _finite, _integer, _real, _reals
 from .model import (
     _SLOT_GRID,
     _TERM_COMPONENT,
@@ -103,8 +103,8 @@ class FitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations", 1))
-        if not 0.0 < self.relative_tolerance < 1.0:
-            raise ValueError(f"relative_tolerance must be > 0 and < 1, got {self.relative_tolerance}")
+        tolerance = _real(self.relative_tolerance, "relative_tolerance", 0, strict=True, below=1)
+        object.__setattr__(self, "relative_tolerance", tolerance)
         if self.method not in _SOLVERS:
             raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {self.method!r}")
 
@@ -124,7 +124,7 @@ class FitReport:
     stop_reason: str
 
     def __post_init__(self):
-        trace = np.array(self.objective_trace, dtype=float)
+        trace = _reals(self.objective_trace, "objective_trace")
         if trace.ndim != 1 or trace.size == 0:
             raise ValueError("objective_trace must be a non-empty 1-D sequence")
         if np.any(np.diff(trace) > 0.0):
@@ -133,7 +133,6 @@ class FitReport:
             raise ValueError(
                 f"stop_reason must be one of {', '.join(STOP_REASONS)}, got {self.stop_reason!r}"
             )
-        trace.setflags(write=False)
         object.__setattr__(self, "objective_trace", trace)
 
     @property

@@ -7,20 +7,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConstantActualError, _finite, _integer
+from .errors import ConstantActualError, _finite, _integer, _real, _reals
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(actual, dtype=float)
-    p = np.asarray(predicted, dtype=float)
+    a = _reals(actual, "actual", -math.inf)
+    p = _reals(predicted, "predicted", -math.inf)
     if a.ndim != 1 or p.ndim != 1:
         raise ValueError("actual and predicted must be 1-D sequences")
     if a.size == 0:
         raise ValueError("metrics need at least one sample")
     if a.size != p.size:
         raise ValueError(f"length mismatch: {a.size} actual vs {p.size} predicted")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(p))):
-        raise ValueError("metrics require finite values")
     return a, p
 
 
@@ -77,6 +75,8 @@ class EvalReport:
 
     def __post_init__(self):
         object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
+        for name, lowest in (("mse", 0), ("rmse", 0), ("mae", 0), ("r2", -math.inf)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, lowest))
         if self.rmse != math.sqrt(self.mse):
             raise ValueError("rmse must equal sqrt(mse) exactly")
         if self.mae > self.rmse * (1.0 + 1e-12):

@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import SeriesTooShortError, _finite, _integer
+from .errors import SeriesTooShortError, _finite, _integer, _real, _reals
 
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
@@ -100,18 +100,9 @@ class ComponentParams:
     variance: float
 
     def __post_init__(self):
-        rate = float(self.peak_rate)
-        time_ = float(self.peak_time)
-        var = float(self.variance)
-        if not math.isfinite(rate) or rate < 0.0:
-            raise ValueError(f"peak_rate must be finite and >= 0, got {self.peak_rate!r}")
-        if not math.isfinite(time_) or not 0.0 <= time_ < HOURS_PER_DAY:
-            raise ValueError(f"peak_time must lie in [0, 24), got {self.peak_time!r}")
-        if not math.isfinite(var) or var <= 0.0:
-            raise ValueError(f"variance must be finite and > 0, got {self.variance!r}")
-        object.__setattr__(self, "peak_rate", rate)
-        object.__setattr__(self, "peak_time", time_)
-        object.__setattr__(self, "variance", var)
+        object.__setattr__(self, "peak_rate", _real(self.peak_rate, "peak_rate", 0))
+        object.__setattr__(self, "peak_time", _real(self.peak_time, "peak_time", 0, below=HOURS_PER_DAY))
+        object.__setattr__(self, "variance", _real(self.variance, "variance", 0, strict=True))
 
 
 @dataclass(frozen=True)
@@ -147,18 +138,15 @@ class WeekClock:
     def __post_init__(self):
         if _integer(self.day, "day", 1) > DAYS_PER_WEEK:
             raise ValueError(f"day must be an integer in [1, 7], got {self.day!r}")
-        hour = float(self.hour)
-        if not math.isfinite(hour) or not 0.0 <= hour < HOURS_PER_DAY:
-            raise ValueError(f"hour must lie in [0, 24), got {self.hour!r}")
         object.__setattr__(self, "day", int(self.day))
-        object.__setattr__(self, "hour", hour)
+        object.__setattr__(self, "hour", _real(self.hour, "hour", 0, below=HOURS_PER_DAY))
 
 
 def week_clock_at(hour_index: int) -> tuple[int, WeekClock]:
     """Week number and clock of a non-negative integer hour counter (0 = Monday 00:00 of week 0)."""
     week, in_week = divmod(_integer(hour_index, "hour_index", 0), HOURS_PER_WEEK)
     day, hour = divmod(in_week, HOURS_PER_DAY)
-    return week, WeekClock(day + 1, float(hour))
+    return week, WeekClock(day + 1, hour)
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +162,9 @@ class TrafficSeries:
     start: int = 0
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = _reals(self.values, "values")
         if values.ndim != 1 or values.size == 0:
             raise ValueError("values must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must all be finite")
-        if np.any(values < 0.0):
-            raise ValueError("values must all be >= 0")
-        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "start", _integer(self.start, "start", 0))
 
@@ -213,7 +196,7 @@ def _require_full_week(data: TrafficSeries) -> None:
 
 def _week_slots(start: int, n_hours: int) -> np.ndarray:
     """Week slot (0 = Monday 00:00 .. 167) of ``n_hours`` hours from absolute hour ``start``."""
-    return (start + np.arange(n_hours)) % HOURS_PER_WEEK
+    return (start % HOURS_PER_WEEK + np.arange(n_hours)) % HOURS_PER_WEEK
 
 
 def _slot_sums(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +321,7 @@ def generate_synthetic(
     Deterministic for a fixed seed; with noise_std = 0 the output equals
     ``predict_series`` over the same horizon exactly.
     """
-    if not math.isfinite(noise_std) or noise_std < 0.0:
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
+    noise_std = abs(_real(noise_std, "noise_std", 0))  # numpy refuses a scale of -0.0
     clean = predict_series(model, _integer(n_weeks, "n_weeks", 1) * HOURS_PER_WEEK)
     noise = np.random.default_rng(_integer(seed, "seed", 0)).normal(0.0, noise_std, len(clean))
     return TrafficSeries(np.maximum(_finite(clean.values + noise, "a noisy rate"), 0.0), clean.start)

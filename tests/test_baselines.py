@@ -27,6 +27,16 @@ def elevated_model() -> WeeklyModel:
 
 
 class TestBaselinePredict:
+    def test_start_of_any_size(self):
+        rng = np.random.default_rng(9)
+        values = rng.uniform(1, 9, 200)
+        start = 2**63 + 3  # past numpy's int64
+        for kind in BaselineKind:
+            far = baseline_predict(kind, TrafficSeries(values, start), 50)
+            near = baseline_predict(kind, TrafficSeries(values, start % 168), 50)
+            assert far.start == start + 200
+            assert np.array_equal(far.values, near.values)
+
     def test_single_week_train_is_tiled(self):
         rng = np.random.default_rng(0)
         train = TrafficSeries(rng.uniform(1, 9, 168), 0)

@@ -1,0 +1,154 @@
+"""The library's contract for numbers.
+
+Every public numeric argument, given any value, gives a result or raises a
+ValueError or WeekfitError whose message names that argument, and emits no
+warning.  A WeekfitError may instead name a result that overflows the float
+range (``errors._finite``): that error is about the traffic, not about one
+argument.  A string, a bool or None, alone or in a list of such, is never
+taken for a number.
+"""
+
+import json
+import math
+import numbers
+import re
+import tempfile
+import warnings
+from datetime import datetime, timedelta
+from pathlib import Path
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from weekfit import (
+    ComponentParams,
+    EvalReport,
+    FitConfig,
+    FitReport,
+    Readings,
+    SplitSpec,
+    TrafficSeries,
+    WeekClock,
+    WeekfitError,
+    baseline_predict,
+    bundled_model,
+    fit,
+    generate_synthetic,
+    load_model,
+    mse,
+    predict_series,
+    week_clock_at,
+)
+
+_MODEL = bundled_model("guangzhou")
+_WEEK = predict_series(_MODEL, 168).values
+_STAMPS = [datetime(2024, 1, 1) + timedelta(hours=k) for k in range(2)]
+
+# Valid numbers of every kind, the edges of the float range, ints past it,
+# numpy scalars and non-numbers.
+_EDGES = [
+    0, 1, 3, 12.5, 0.5, -1, -0.0, 24, 2**63, 2**64 + 1, 10**400, -10**400,
+    math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
+    np.float32(0.25), np.float32(3.4e38), np.float32(np.nan), np.float64(2.0),
+    np.int64(2), np.uint64(2**64 - 1), np.int8(-3), np.float16(6.0),
+    "1", "", "nan", None, True, False, np.True_,
+]
+_SCALARS = st.one_of(
+    st.sampled_from(_EDGES),
+    st.floats(-30.0, 200.0),
+    st.integers(-3, 400),
+    st.floats(-30.0, 200.0, width=32).map(np.float32),
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, min_size=1, max_size=3))
+
+
+def _model_with_peak_rate(value):
+    payload = {
+        c.value: {"peak_rate": p.peak_rate, "peak_time": p.peak_time, "variance": p.variance}
+        for c, p in _MODEL.components.items()
+    }
+    payload["mw"]["peak_rate"] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "model.json")
+        path.write_text(json.dumps(payload, default=np.generic.item))  # JSON has no numpy scalars
+        return load_model(path)
+
+
+def _fit_and_baseline(start):
+    series = TrafficSeries(_WEEK, start)
+    return fit(series, FitConfig(max_iterations=2)), baseline_predict("seasonal_naive", series, 3)
+
+
+def _same_length(value):
+    return np.ones(np.shape(value))
+
+
+# (names one of which the message must hold, call, is a size): a size is not
+# tried above 10,000, as a valid huge size asks numpy for an array beyond memory
+_CALLS = [
+    (("peak_rate",), lambda v: ComponentParams(v, 12.0, 1.0), False),
+    (("peak_time",), lambda v: ComponentParams(1.0, v, 1.0), False),
+    (("variance",), lambda v: ComponentParams(1.0, 12.0, v), False),
+    (("peak_rate",), _model_with_peak_rate, False),
+    (("day",), lambda v: WeekClock(v, 0.0), False),
+    (("hour",), lambda v: WeekClock(1, v), False),
+    (("hour_index",), week_clock_at, False),
+    (("values",), TrafficSeries, False),
+    (("start",), _fit_and_baseline, False),
+    (("i", "window"), lambda v: TrafficSeries(_WEEK).window(v, 3), False),
+    (("j", "window"), lambda v: TrafficSeries(_WEEK).window(0, v), False),
+    (("value",), lambda v: Readings(_STAMPS, v), False),
+    (("train_weeks",), SplitSpec, False),
+    (("max_iterations",), lambda v: FitConfig(max_iterations=v), False),
+    (("relative_tolerance",), lambda v: FitConfig(relative_tolerance=v), False),
+    (("objective_trace",), lambda v: FitReport(_MODEL, v, "tolerance"), False),
+    (("n_hours",), lambda v: predict_series(_MODEL, v), True),
+    (("n_hours",), lambda v: baseline_predict("weekly_profile_mean", TrafficSeries(_WEEK), v), True),
+    (("start_week",), lambda v: predict_series(_MODEL, 3, start_week=v), False),
+    (("noise_std",), lambda v: generate_synthetic(_MODEL, 1, v, 0), False),
+    (("n_weeks",), lambda v: generate_synthetic(_MODEL, v, 0.0, 0), True),
+    (("seed",), lambda v: generate_synthetic(_MODEL, 1, 1.0, v), False),
+    (("actual",), lambda v: mse(v, _same_length(v)), False),
+    (("predicted",), lambda v: mse(_same_length(v), v), False),
+    (("mse",), lambda v: EvalReport(v, 2.0, 1.0, 0.5, 10), False),
+    (("rmse",), lambda v: EvalReport(4.0, v, 1.0, 0.5, 10), False),
+    (("mae",), lambda v: EvalReport(4.0, 2.0, v, 0.5, 10), False),
+    (("r2",), lambda v: EvalReport(4.0, 2.0, 1.0, v, 10), False),
+    (("n_samples",), lambda v: EvalReport(4.0, 2.0, 1.0, 0.5, v), False),
+]
+
+
+def _huge(value) -> bool:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and 10_000 < value < math.inf
+
+
+def _with_every_edge(test):
+    """Try each edge alone, in a list alone and after a valid entry, before the drawn values."""
+    for edge in _EDGES:
+        for value in (edge, [edge], [1.0, edge]):
+            test = example(value=value)(test)
+    return test
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(value=_VALUES)
+@_with_every_edge
+def test_numeric_arguments_give_a_result_or_name_themselves(value):
+    entries = value if isinstance(value, list) else [value]
+    non_number = all(v is None or isinstance(v, (str, bool, np.bool_)) for v in entries)
+    for names, call, size in _CALLS:
+        if size and _huge(value):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call(value)
+            except (ValueError, WeekfitError) as exc:
+                message = str(exc)
+                named = any(re.search(rf"\b{name}\b", message) for name in names)
+                overflow = isinstance(exc, WeekfitError) and "overflows the float range" in message
+                assert named or overflow, f"{names[0]}={value!r}: {message}"
+            else:
+                assert not non_number, f"{names[0]}={value!r} was accepted"

@@ -239,6 +239,8 @@ class TestLoadCsv:
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="finite and >= 0"):
                 Readings([datetime(2013, 11, 4), datetime(2013, 11, 5)], [1.0, bad])
+        with pytest.raises(ValueError, match="value must hold numbers"):
+            Readings([datetime(2013, 11, 4)], ["1"])
         readings = Readings([datetime(2013, 11, 4)], [3])
         assert readings.values.dtype == np.float64
         assert not readings.values.flags.writeable
@@ -548,6 +550,17 @@ class TestSeriesCsv:
         assert not path.exists()
         write_timestamp_csv(TrafficSeries(np.ones(2), last - 1), path)
         assert load_csv(path).timestamps == [datetime(9999, 12, 31, 22), datetime(9999, 12, 31, 23)]
+
+    def test_series_csv_stops_at_the_int64_range(self, tmp_path):
+        # np.arange counts in float64 once its stop passes 2**63 - 1
+        path = tmp_path / "late.csv"
+        with pytest.raises(WeekfitError, match=f"hour {2**63 - 1} is past"):
+            write_series_csv(TrafficSeries(np.ones(2), 2**63 - 2), path)
+        assert not path.exists()
+        assert series_csv_clocks(TrafficSeries(np.ones(2), 2**63 - 3), path) == [
+            (54901024028897475, 1, 5),
+            (54901024028897475, 1, 6),
+        ]
 
     def test_byte_stable_output(self, tmp_path):
         series = TrafficSeries(np.linspace(0.1, 9.7, 50), 3)

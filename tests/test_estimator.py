@@ -200,6 +200,11 @@ class TestFitConfig:
         for tolerance in (0.0, 1.0, float("inf")):
             with pytest.raises(ValueError, match="relative_tolerance"):
                 FitConfig(relative_tolerance=tolerance)
+        for tolerance in ("0.1", None):
+            with pytest.raises(ValueError, match="relative_tolerance must be a number"):
+                FitConfig(relative_tolerance=tolerance)
+        tolerance = FitConfig(relative_tolerance=np.float32(0.1)).relative_tolerance
+        assert type(tolerance) is float and tolerance == float(np.float32(0.1))
         with pytest.raises(ValueError, match="method"):
             FitConfig(method="newton")
 
@@ -305,6 +310,18 @@ class TestFit:
         noise = 0.05 * float(predict_series(truth, 168).values.max())
         data = generate_synthetic(truth, 2, noise, seed=seed)
         assert fit(data).objective_trace[-1] <= objective(truth, data)
+
+    @pytest.mark.parametrize("offset", [0, 5, 167, 2**70], ids=["0", "5", "167", "2**70"])
+    def test_start_of_any_size(self, guangzhou, offset):
+        # past 2**63 the start no longer fits numpy's int64; only its week slot matters
+        values = generate_synthetic(guangzhou, 1, 100.0, seed=4).values
+        start = 2**63 + offset
+        for config in (FitConfig(), FitConfig(max_iterations=20, method="gd")):
+            far = fit(TrafficSeries(values, start), config)
+            near = fit(TrafficSeries(values, start % 168), config)
+            assert far.model == near.model
+            assert np.array_equal(far.objective_trace, near.objective_trace)
+            assert far.stop_reason == near.stop_reason
 
     def test_rejects_short_series(self):
         short = TrafficSeries(np.ones(100), 0)

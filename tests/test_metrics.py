@@ -71,6 +71,10 @@ class TestErrors:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             mse([1.0, float("inf")], [0.0, 0.0])
+        with pytest.raises(ValueError, match="actual must hold numbers"):
+            mse(["1"], [1.0])
+        with pytest.raises(ValueError, match="predicted must be finite, got nan"):
+            mae([1.0], [float("nan")])
 
     def test_not_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
@@ -138,6 +142,8 @@ class TestEvalReport:
                 EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=0.5, n_samples=n_samples)
         with pytest.raises(ValueError, match="r2"):
             EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=1.5, n_samples=10)
+        with pytest.raises(ValueError, match="mse must be a number"):
+            EvalReport(mse="a", rmse=1.0, mae=1.0, r2=0.0, n_samples=1)
 
     def test_serialization_round_trip(self):
         rng = np.random.default_rng(2)

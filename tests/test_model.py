@@ -112,6 +112,14 @@ class TestComponentParams:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             ComponentParams(float("nan"), 12.0, 1.0)
+        with pytest.raises(ValueError, match="peak_rate must be finite"):
+            ComponentParams(10**400, 12.0, 1.0)
+        for bad in ("1", None, True):
+            with pytest.raises(ValueError, match="must be a number"):
+                ComponentParams(1.0, 12.0, bad)
+        params = ComponentParams(np.float32(2.5), np.int64(12), np.float64(1.0))
+        assert params == ComponentParams(2.5, 12.0, 1.0)
+        assert all(type(v) is float for v in (params.peak_rate, params.peak_time, params.variance))
 
 
 class TestWeeklyModel:
@@ -152,6 +160,9 @@ class TestWeekClock:
         for day in (float("nan"), float("inf"), 2.5):
             with pytest.raises(ValueError, match="day"):
                 WeekClock(day, 0.0)
+        for hour in ("12", None):
+            with pytest.raises(ValueError, match="hour must be a number"):
+                WeekClock(1, hour)
 
     def test_week_clock_at_rolls_days_and_weeks(self):
         assert week_clock_at(0) == (0, WeekClock(1, 0.0))
@@ -172,13 +183,16 @@ class TestTrafficSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             TrafficSeries(np.array([1.0, np.nan]), 0)
+        for values in (["1", "2"], [True], [None, 1.0]):
+            with pytest.raises(ValueError, match="values must hold numbers"):
+                TrafficSeries(values)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             TrafficSeries(np.array([]), 0)
 
     def test_rejects_bad_start(self):
-        for start in (-1, 1.5, float("nan"), float("inf"), "3"):
+        for start in (-1, 1.5, float("nan"), float("inf"), "3", True):
             with pytest.raises(ValueError, match="start"):
                 TrafficSeries(np.ones(3), start)
         assert type(TrafficSeries(np.ones(3), np.int64(4)).start) is int
@@ -334,6 +348,14 @@ class TestPredictSeries:
                 predict_series(guangzhou, 10, start_week=start_week)
         assert predict_series(guangzhou, 10, start_week=2.0) == predict_series(guangzhou, 10, start_week=2)
 
+    def test_start_week_of_any_size(self, guangzhou):
+        # the hour counter of week 10**17 passes the int64 range
+        start_week = 10**17
+        far = predict_series(guangzhou, 30, start_week=start_week)
+        near = predict_series(guangzhou, 30, start_week=0)
+        assert far.start == start_week * 168
+        assert np.array_equal(far.values, near.values)
+
     def test_rejects_empty_horizon(self, guangzhou):
         with pytest.raises(ValueError):
             predict_series(guangzhou, 0)
@@ -401,6 +423,9 @@ class TestGenerateSynthetic:
             generate_synthetic(guangzhou, 1.5, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(guangzhou, 1, -1.0, seed=0)
+        for noise_std in ("1", None):
+            with pytest.raises(ValueError, match="noise_std"):
+                generate_synthetic(guangzhou, 1, noise_std, seed=0)
         for seed in (1.5, -1):
             with pytest.raises(ValueError, match="seed"):
                 generate_synthetic(guangzhou, 1, 1.0, seed=seed)
