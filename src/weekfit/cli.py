@@ -29,7 +29,7 @@ from .dataio import (
     write_timestamp_csv,
     write_trace_csv,
 )
-from .errors import WeekfitError
+from .errors import WeekfitError, _integer, _real
 from .estimator import FitConfig, fit
 from .metrics import EvalReport
 from .model import (
@@ -214,21 +214,14 @@ def _cmd_compare(args) -> int:
 
 
 def _at_least(lowest: int, kind=int, strict: bool = False, below: float = math.inf):
-    """An argparse type: a ``kind`` number >= ``lowest`` and < ``below``, refused naming the flag.
-
-    ``strict`` asks for > ``lowest``; infinity fails the default ``below``
-    and NaN every bound.  The bounds are the library's, so no value the CLI
-    accepts is refused later under a library parameter name.
-    """
-    upper = f" and < {below}" if below < math.inf else ""
-    finite = "finite and " if kind is float and not upper else ""
-    requirement = finite + (">" if strict else ">=") + f" {lowest}" + upper
+    """An argparse type: a ``kind`` number checked by ``errors._integer`` or ``_real``, refused naming the flag."""
 
     def parse(text: str):
-        value = kind(text)
-        if not ((value > lowest if strict else value >= lowest) and value < below):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
-        return value
+        value = kind(text)  # outside the try: argparse words a non-number itself
+        try:
+            return _integer(value, "", lowest) if kind is int else _real(value, "", lowest, strict, below)
+        except ValueError as exc:  # the library's words, without a parameter name
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
 
     parse.__name__ = kind.__name__  # a non-number reads "invalid int value" (or float)
     return parse

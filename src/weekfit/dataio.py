@@ -42,8 +42,6 @@ _PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
 # slot 0 is.
 SYNTH_EPOCH = datetime(2024, 1, 1)
 
-_HOUR_US = 3_600_000_000
-
 # write_timestamp_csv's last writable hour counter, 9999-12-31T23:00: later
 # timestamps have five-digit years, which datetime.fromisoformat refuses
 _LAST_HOUR = (datetime.max - SYNTH_EPOCH) // timedelta(hours=1)
@@ -234,13 +232,13 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
             del ordered  # its pairs are the largest allocation here; free them first
     except TypeError:
         raise WeekfitError("timestamps mix naive and timezone-aware datetimes") from None
-    # one integer key per sample: the start of its hour in absolute microseconds
+    _require_one_utc_offset(stamps)
+    # one integer key per sample: its wall-clock hour, counted from 0001-01-01
     n = len(stamps)
     days = np.fromiter(map(datetime.toordinal, stamps), np.int64, n)
     hours = np.fromiter(map(operator.attrgetter("hour"), stamps), np.int64, n)
-    keys = (days * HOURS_PER_DAY + hours) * _HOUR_US - _utc_offset_us(stamps)
-    steps = np.diff(keys)
-    gaps = np.flatnonzero((steps != 0) & (steps != _HOUR_US))
+    steps = np.diff(days * HOURS_PER_DAY + hours)
+    gaps = np.flatnonzero((steps != 0) & (steps != 1))
     if gaps.size:
         before = stamps[gaps[0]].replace(minute=0, second=0, microsecond=0)
         raise GapError(f"missing hour {(before + timedelta(hours=1)).isoformat()}")
@@ -254,13 +252,13 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     return TrafficSeries(sums, start)
 
 
-def _utc_offset_us(stamps: Sequence[datetime]) -> int:
-    """The one UTC offset of sorted timestamps in microseconds, 0 if naive."""
+def _require_one_utc_offset(stamps: Sequence[datetime]) -> None:
+    """Refuse sorted timestamps whose UTC offset changes: their wall-clock hours would skip or repeat."""
     offset = stamps[0].utcoffset()
     if offset is None:
         # the order check, or the sort, has refused a mix of naive and aware
         # timestamps
-        return 0
+        return
     change = next((i for i, stamp in enumerate(stamps) if stamp.utcoffset() != offset), None)
     if change is not None:
         before, after = stamps[change - 1], stamps[change]
@@ -268,7 +266,6 @@ def _utc_offset_us(stamps: Sequence[datetime]) -> int:
             f"timestamps carry more than one UTC offset: {before.tzname()} up to "
             f"{before.isoformat()}, then {after.tzname()} from {after.isoformat()}"
         )
-    return offset // timedelta(microseconds=1)
 
 
 def training_window(series: TrafficSeries, spec: SplitSpec | None = None) -> TrafficSeries:

@@ -1,5 +1,5 @@
-"""Exception types, and the package's rules for numbers: ``_finite`` for overflow,
-``_integer`` for whole numbers, and ``_real`` and ``_reals`` for real numbers."""
+"""Exception types, and the package's only rules for numbers and their bounds: ``_finite`` for
+overflow, ``_integer`` for whole numbers, and ``_real`` and ``_reals`` for real numbers."""
 
 import math
 import numbers
@@ -42,11 +42,13 @@ def _finite(values, what: str):
     return values
 
 
-def _integer(value, what: str, lowest: int) -> int:
-    """``int(value)`` for an int (not a bool) or integral float >= ``lowest``, else ValueError."""
+def _integer(value, what: str, lowest: int, highest=math.inf) -> int:
+    """``int(value)`` for an int (not a bool) or integral float in [``lowest``, ``highest``], else ValueError."""
     is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (is_number and lowest <= value < np.inf and value % 1 == 0):
-        raise ValueError(f"{what} must be an integer >= {lowest}, got {value!r}")
+    # int(value), not value, meets highest: np.float16(6.0) <= 2**63 warns of an overflow
+    if not (is_number and lowest <= value < np.inf and value % 1 == 0 and int(value) <= highest):
+        bounds = f"in [{lowest}, {highest}]" if highest < math.inf else f">= {lowest}"
+        raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
     return int(value)
 
 
@@ -69,6 +71,8 @@ def _reals(values, what: str, lowest=0) -> np.ndarray:
     """A read-only float copy of ``values`` if all are finite numbers >= ``lowest``, else ValueError."""
     if np.asarray(values).dtype.kind not in "iuf":  # strings, bools and objects
         raise ValueError(f"{what} must hold numbers, got dtype {np.asarray(values).dtype}")
+    if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        raise ValueError(f"{what} must hold numbers, got a bool")  # numpy would read it as 0 or 1
     array = np.array(values, dtype=float)
     invalid = ~(np.isfinite(array) & (array >= lowest))
     if invalid.any():

@@ -25,6 +25,7 @@ from .errors import SeriesTooShortError, _finite, _integer, _real, _reals
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
 HOURS_PER_WEEK = HOURS_PER_DAY * DAYS_PER_WEEK
+_MAX_HOURS = 2**63 - HOURS_PER_WEEK  # the longest horizon whose offsets _week_slots counts in int64
 
 
 class DayCategory(enum.Enum):
@@ -136,9 +137,7 @@ class WeekClock:
     hour: float
 
     def __post_init__(self):
-        if _integer(self.day, "day", 1) > DAYS_PER_WEEK:
-            raise ValueError(f"day must be an integer in [1, 7], got {self.day!r}")
-        object.__setattr__(self, "day", int(self.day))
+        object.__setattr__(self, "day", _integer(self.day, "day", 1, DAYS_PER_WEEK))
         object.__setattr__(self, "hour", _real(self.hour, "hour", 0, below=HOURS_PER_DAY))
 
 
@@ -208,7 +207,7 @@ def _slot_sums(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries:
     """The 168-slot ``profile`` repeated over ``n_hours`` hours from absolute hour ``start``."""
-    return TrafficSeries(profile[_week_slots(start, _integer(n_hours, "n_hours", 1))], start)
+    return TrafficSeries(profile[_week_slots(start, _integer(n_hours, "n_hours", 1, _MAX_HOURS))], start)
 
 
 # One Gaussian term is evaluated per (component, covered day, week copy).
@@ -322,6 +321,6 @@ def generate_synthetic(
     ``predict_series`` over the same horizon exactly.
     """
     noise_std = abs(_real(noise_std, "noise_std", 0))  # numpy refuses a scale of -0.0
-    clean = predict_series(model, _integer(n_weeks, "n_weeks", 1) * HOURS_PER_WEEK)
+    clean = predict_series(model, _integer(n_weeks, "n_weeks", 1, _MAX_HOURS // HOURS_PER_WEEK) * HOURS_PER_WEEK)
     noise = np.random.default_rng(_integer(seed, "seed", 0)).normal(0.0, noise_std, len(clean))
     return TrafficSeries(np.maximum(_finite(clean.values + noise, "a noisy rate"), 0.0), clean.start)

@@ -36,6 +36,8 @@ class TestBaselinePredict:
             near = baseline_predict(kind, TrafficSeries(values, start % 168), 50)
             assert far.start == start + 200
             assert np.array_equal(far.values, near.values)
+            with pytest.raises(ValueError, match="n_hours"):  # a horizon past int64 is refused
+                baseline_predict(kind, TrafficSeries(values, start), 2**63)
 
     def test_single_week_train_is_tiled(self):
         rng = np.random.default_rng(0)

@@ -339,19 +339,19 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["predict", "--weeks", "0"], "argument --weeks: must be >= 1, got 0"),
-            (["synth", "--weeks", "0"], "argument --weeks: must be >= 1, got 0"),
-            (["synth", "--weeks", "1", "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+            (["predict", "--weeks", "0"], "argument --weeks: must be an integer >= 1, got 0"),
+            (["synth", "--weeks", "0"], "argument --weeks: must be an integer >= 1, got 0"),
+            (["synth", "--weeks", "1", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
             (["synth", "--weeks", "x"], "argument --weeks: invalid int value: 'x'"),
             # the input does not exist: the flag is refused before any file is read
             (["fit", "--input", "missing.csv", "--train-weeks", "0"],
-             "argument --train-weeks: must be >= 1, got 0"),
+             "argument --train-weeks: must be an integer >= 1, got 0"),
             (["evaluate", "--input", "missing.csv", "--train-weeks", "0"],
-             "argument --train-weeks: must be >= 1, got 0"),
+             "argument --train-weeks: must be an integer >= 1, got 0"),
             (["compare", "--input", "missing.csv", "--train-weeks", "0"],
-             "argument --train-weeks: must be >= 1, got 0"),
+             "argument --train-weeks: must be an integer >= 1, got 0"),
             (["fit", "--input", "missing.csv", "--max-iterations", "0"],
-             "argument --max-iterations: must be >= 1, got 0"),
+             "argument --max-iterations: must be an integer >= 1, got 0"),
             (["compare", "--input", "missing.csv", "--tolerance", "0"],
              "argument --tolerance: must be > 0 and < 1, got 0.0"),
             (["fit", "--input", "missing.csv", "--tolerance", "nan"],

@@ -160,6 +160,9 @@ class TestWeekClock:
         for day in (float("nan"), float("inf"), 2.5):
             with pytest.raises(ValueError, match="day"):
                 WeekClock(day, 0.0)
+        for day in (0, 8):  # both ends in one message
+            with pytest.raises(ValueError, match=r"day must be an integer in \[1, 7\], got"):
+                WeekClock(day, 0.0)
         for hour in ("12", None):
             with pytest.raises(ValueError, match="hour must be a number"):
                 WeekClock(1, hour)
@@ -183,7 +186,7 @@ class TestTrafficSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             TrafficSeries(np.array([1.0, np.nan]), 0)
-        for values in (["1", "2"], [True], [None, 1.0]):
+        for values in (["1", "2"], [True], [None, 1.0], [True, 1.0], (1.0, np.False_)):
             with pytest.raises(ValueError, match="values must hold numbers"):
                 TrafficSeries(values)
 
@@ -362,6 +365,9 @@ class TestPredictSeries:
         with pytest.raises(ValueError, match="n_hours"):
             predict_series(guangzhou, 2.5)
         assert predict_series(guangzhou, 2.0) == predict_series(guangzhou, 2)
+        for n_hours in (2**63, 10**400):  # past int64: refused by name, not by numpy
+            with pytest.raises(ValueError, match="n_hours"):
+                predict_series(guangzhou, n_hours)
 
 
 class TestSigmaInterval:
@@ -421,6 +427,8 @@ class TestGenerateSynthetic:
             generate_synthetic(guangzhou, 0, 1.0, seed=0)
         with pytest.raises(ValueError, match="n_weeks"):
             generate_synthetic(guangzhou, 1.5, 1.0, seed=0)
+        with pytest.raises(ValueError, match="n_weeks"):
+            generate_synthetic(guangzhou, 10**400, 1.0, seed=0)
         with pytest.raises(ValueError):
             generate_synthetic(guangzhou, 1, -1.0, seed=0)
         for noise_std in ("1", None):
