@@ -5,6 +5,8 @@ series), and 2 for internal faults.  All file outputs use fixed float
 formatting so identical invocations produce byte-identical files.  Wall
 time is measured here alone (``_timed``), never by the library, and shown
 only by ``--timing`` and in compare's train_s/predict_s columns.
+``estimator``, ``metrics`` and ``baselines`` are imported by the commands
+that call them, so ``synth``, ``predict`` and ``inspect`` never load them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import math
 import sys
 import time
 
-from .baselines import BaselineKind, baseline_predict
 from .dataio import (
     _write_csv,
     SplitSpec,
@@ -30,9 +31,8 @@ from .dataio import (
     write_trace_csv,
 )
 from .errors import WeekfitError, _integer, _real
-from .estimator import FitConfig, fit
-from .metrics import EvalReport
 from .model import (
+    _MAX_HOURS,
     ComponentId,
     HOURS_PER_WEEK,
     generate_synthetic,
@@ -84,8 +84,12 @@ def _load_series(path, train_weeks: int):
     return aggregate_hourly(load_csv(path)), spec
 
 
-def _fit_config(args) -> FitConfig:
-    return FitConfig(max_iterations=args.max_iterations, relative_tolerance=args.tolerance)
+def _fit_config(args):
+    """A ``FitConfig`` of the fit flags that were given; ``FitConfig`` holds the defaults."""
+    from .estimator import FitConfig
+
+    given = {"max_iterations": args.max_iterations, "relative_tolerance": args.tolerance}
+    return FitConfig(**{name: value for name, value in given.items() if value is not None})
 
 
 def _model_forecast(model, test):
@@ -102,12 +106,16 @@ def _timed(call, *args):
 
 def _score(test, forecast, train_seconds: float = 0.0) -> dict:
     """Score ``forecast()`` against the test window: the report's fields, then both wall times."""
+    from .metrics import EvalReport
+
     predicted, predict_seconds = _timed(forecast)
     scores = EvalReport.from_predictions(test.values, predicted.values).as_dict()
     return {**scores, "elapsed_train_seconds": train_seconds, "elapsed_predict_seconds": predict_seconds}
 
 
 def _cmd_fit(args) -> int:
+    from .estimator import fit
+
     series, spec = _load_series(args.input, args.train_weeks)
     train = training_window(series, spec)
     report, seconds = _timed(fit, train, _fit_config(args))
@@ -186,6 +194,9 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .baselines import BaselineKind, baseline_predict
+    from .estimator import fit
+
     series, spec = _load_series(args.input, args.train_weeks)
     train, test = split(series, spec)
     fitted, train_seconds = _timed(fit, train, _fit_config(args))
@@ -213,13 +224,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _at_least(lowest: int, kind=int, strict: bool = False, below: float = math.inf):
+def _at_least(lowest: int, kind=int, strict: bool = False, below: float = math.inf, highest=math.inf):
     """An argparse type: a ``kind`` number checked by ``errors._integer`` or ``_real``, refused naming the flag."""
 
     def parse(text: str):
         value = kind(text)  # outside the try: argparse words a non-number itself
         try:
-            return _integer(value, "", lowest) if kind is int else _real(value, "", lowest, strict, below)
+            return _integer(value, "", lowest, highest) if kind is int else _real(value, "", lowest, strict, below)
         except ValueError as exc:  # the library's words, without a parameter name
             raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
 
@@ -233,15 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fit and evaluate weekly Gaussian-component traffic models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    weeks = _at_least(1, highest=_MAX_HOURS // HOURS_PER_WEEK)  # generate_synthetic's n_weeks bound
 
     def add_input_flags(p):
         p.add_argument("--input", required=True)
         p.add_argument("--train-weeks", type=_at_least(1), default=SplitSpec.train_weeks)
 
     def add_fit_flags(p):
-        p.add_argument("--max-iterations", type=_at_least(1), default=FitConfig.max_iterations)
-        p.add_argument("--tolerance", type=_at_least(0, float, strict=True, below=1),
-                       default=FitConfig.relative_tolerance)
+        p.add_argument("--max-iterations", type=_at_least(1))
+        p.add_argument("--tolerance", type=_at_least(0, float, strict=True, below=1))
 
     p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
     add_input_flags(p)
@@ -254,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="evaluate a saved model over a horizon")
     p.add_argument("--model", required=True)
-    p.add_argument("--weeks", type=_at_least(1), required=True)
+    p.add_argument("--weeks", type=weeks, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--svg", help="write a prediction plot here")
     p.set_defaults(handler=_cmd_predict)
@@ -268,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate noisy synthetic data from a model")
     p.add_argument("--model", required=True)
-    p.add_argument("--weeks", type=_at_least(1), required=True)
+    p.add_argument("--weeks", type=weeks, required=True)
     p.add_argument("--noise", type=_at_least(0, float), default=0.0)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--out", required=True)

@@ -11,7 +11,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -358,12 +358,17 @@ def bundled_model(name: str) -> WeeklyModel:
         return load_model(path)
 
 
-def _write_csv(path, header: list[str], rows: Iterable) -> None:
-    """Write a header row and then ``rows``, with the csv module's CRLF line ends."""
+def _write_csv(path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header row and then ``rows`` of strings, with the csv module's CRLF line ends.
+
+    The bytes are ``csv.writer``'s: no cell (a number, an ISO timestamp or a
+    fixed name) holds a comma, quote or line end that it would quote.
+    """
+    lines = map(",".join, chain([header], rows))
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
+        # a join per 16,384 lines is as fast as one join, and never holds the whole text
+        while chunk := list(islice(lines, 1 << 14)):
+            handle.write("\r\n".join(chunk) + "\r\n")
 
 
 def write_series_csv(series: TrafficSeries, path) -> None:
@@ -373,7 +378,7 @@ def write_series_csv(series: TrafficSeries, path) -> None:
     hours = np.arange(series.start, series.end)
     days = hours % HOURS_PER_WEEK // HOURS_PER_DAY + 1
     columns = (hours // HOURS_PER_WEEK, days, hours % HOURS_PER_DAY)
-    rows = zip(*(c.tolist() for c in columns), map(repr, series.values.tolist()))
+    rows = zip(*(map(str, c.tolist()) for c in columns), map(repr, series.values.tolist()))
     _write_csv(path, ["week", "day_k", "hour", "value"], rows)
 
 
@@ -396,4 +401,4 @@ def write_timestamp_csv(series: TrafficSeries, path) -> None:
 
 def write_trace_csv(trace: Sequence[float], path) -> None:
     """Write the objective trajectory as a two-column CSV (iteration, J)."""
-    _write_csv(path, ["iteration", "J"], ((i, repr(float(value))) for i, value in enumerate(trace)))
+    _write_csv(path, ["iteration", "J"], ((str(i), repr(float(value))) for i, value in enumerate(trace)))

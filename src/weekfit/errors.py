@@ -69,7 +69,12 @@ def _real(value, what: str, lowest=-math.inf, strict=False, below=math.inf) -> f
 
 def _reals(values, what: str, lowest=0) -> np.ndarray:
     """A read-only float copy of ``values`` if all are finite numbers >= ``lowest``, else ValueError."""
-    if np.asarray(values).dtype.kind not in "iuf":  # strings, bools and objects
+    kind = np.asarray(values).dtype.kind
+    if kind == "O" and isinstance(values, (list, tuple)) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+    ):  # numpy holds a Python int past the int64 range as an object; one past the float range is refused
+        values, kind = [_real(v, what, lowest) for v in values], "f"
+    if kind not in "iuf":  # strings, bools and objects
         raise ValueError(f"{what} must hold numbers, got dtype {np.asarray(values).dtype}")
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must hold numbers, got a bool")  # numpy would read it as 0 or 1

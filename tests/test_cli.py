@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 import tempfile
@@ -210,6 +212,11 @@ class TestCompare:
         assert "weekfit" in out and "seasonal_naive" in out and "weekly_profile_mean" in out
         header = b"predictor,mse,rmse,mae,r2,n_samples,elapsed_train_seconds,elapsed_predict_seconds"
         assert table.read_bytes().startswith(header + b"\r\n")
+        # the bytes csv.writer writes for the cells read back; it would quote
+        # any cell holding a comma, quote or line end
+        reference = io.StringIO(newline="")
+        csv.writer(reference).writerows(csv.reader(io.StringIO(table.read_bytes().decode(), newline="")))
+        assert table.read_bytes() == reference.getvalue().encode()
         rows = table.read_text().splitlines()
         fitted_mse = float(rows[1].split(",")[1])
         naive_mse = float(rows[2].split(",")[1])
@@ -339,8 +346,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["predict", "--weeks", "0"], "argument --weeks: must be an integer >= 1, got 0"),
-            (["synth", "--weeks", "0"], "argument --weeks: must be an integer >= 1, got 0"),
+            (["predict", "--weeks", "0"], "argument --weeks: must be an integer in [1, 54901024028897474], got 0"),
+            (["synth", "--weeks", "0"], "argument --weeks: must be an integer in [1, 54901024028897474], got 0"),
             (["synth", "--weeks", "1", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
             (["synth", "--weeks", "x"], "argument --weeks: invalid int value: 'x'"),
             # the input does not exist: the flag is refused before any file is read
@@ -369,6 +376,12 @@ class TestErrorPaths:
              "argument --tolerance: must be > 0 and < 1, got 1.0"),
             (["compare", "--input", "missing.csv", "--tolerance", "inf"],
              "argument --tolerance: must be > 0 and < 1, got inf"),
+            # one past (2**63 - 168) // 168, the most weeks whose hours count in int64:
+            # named as the flag, not as the library's n_hours or n_weeks
+            (["predict", "--weeks", "54901024028897475"],
+             "argument --weeks: must be an integer in [1, 54901024028897474], got 54901024028897475"),
+            (["synth", "--weeks", "100000000000000000000"],
+             "argument --weeks: must be an integer in [1, 54901024028897474], got 100000000000000000000"),
         ],
     )
     def test_count_flags_name_the_flag(self, tmp_path, gz_path, capsys, argv, message, monkeypatch):

@@ -17,6 +17,7 @@ from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -47,7 +48,7 @@ _STAMPS = [datetime(2024, 1, 1) + timedelta(hours=k) for k in range(2)]
 # Valid numbers of every kind, the edges of the float range, ints past it,
 # numpy scalars and non-numbers.
 _EDGES = [
-    0, 1, 3, 12.5, 0.5, -1, -0.0, 24, 2**63, 2**64 + 1, 10**400, -10**400,
+    0, 1, 3, 12.5, 0.5, -1, -0.0, 24, 2**63, 2**64 + 1, 10**20, 10**400, -10**400,
     math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324,
     np.float32(0.25), np.float32(3.4e38), np.float32(np.nan), np.float64(2.0),
     np.int64(2), np.uint64(2**64 - 1), np.int8(-3), np.float16(6.0),
@@ -144,3 +145,26 @@ def test_numeric_arguments_give_a_result_or_name_themselves(value):
                 assert named or overflow, f"{names[0]}={value!r}: {message}"
             else:
                 assert not non_number, f"{names[0]}={value!r} was accepted"
+
+
+# (name, call) for each array argument a plain list reaches
+_ARRAYS = [
+    ("values", TrafficSeries),
+    ("value", lambda v: Readings(_STAMPS, v)),
+    ("actual", lambda v: mse(v, [1.0, 1.0])),
+    ("objective_trace", lambda v: FitReport(_MODEL, v, "tolerance")),
+]
+
+
+@pytest.mark.parametrize("name, call", _ARRAYS, ids=[name for name, _ in _ARRAYS])
+def test_a_list_of_reals_is_taken_whatever_the_size_of_its_ints(name, call):
+    # numpy holds an int past 2**64 as an object, not a number
+    for values in ([10**20, 1.0], (10**20, 1.0), [10**20, np.float32(1.0)]):
+        call(values)
+    assert TrafficSeries([10**20, 1.0]).values.tolist() == [1e20, 1.0]
+    for values in ([10**400, 1.0], [1.0, 10**400]):  # past the float range: refused by name
+        with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+            call(values)
+    for other in ("1", True, np.True_, None):
+        with pytest.raises(ValueError, match=rf"^{name} must hold numbers"):
+            call([10**20, other])

@@ -31,6 +31,7 @@ from weekfit import (
     training_window,
     write_series_csv,
     write_timestamp_csv,
+    write_trace_csv,
 )
 from weekfit import dataio
 from conftest import series_csv_clocks
@@ -568,3 +569,41 @@ class TestSeriesCsv:
         write_series_csv(series, first)
         write_series_csv(series, second)
         assert first.read_bytes() == second.read_bytes()
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows``: the writers' reference."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
+
+
+class TestWriterBytes:
+    # the float edges, a start past 0 that crosses a week, and more lines than
+    # the writer joins at a time
+    VALUES = [0.0, 5e-324, 1.7976931348623157e+308, 1.5, 0.1, 1e-7, 123456789.0, 2.5e16]
+    START = 165
+
+    @pytest.fixture()
+    def series(self):
+        values = self.VALUES + np.random.default_rng(4).uniform(0, 1e4, 20_000).tolist()
+        return TrafficSeries(values, self.START)
+
+    def test_series_csv(self, tmp_path, series):
+        hours = range(series.start, series.end)
+        rows = [(h // 168, h % 168 // 24 + 1, h % 24, v) for h, v in zip(hours, series.values.tolist())]
+        write_series_csv(series, tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_bytes() == csv_writer_bytes(["week", "day_k", "hour", "value"], rows)
+
+    def test_timestamp_csv(self, tmp_path, series):
+        stamps = (datetime(2024, 1, 1) + timedelta(hours=h) for h in range(series.start, series.end))
+        rows = [(stamp.isoformat(), v) for stamp, v in zip(stamps, series.values.tolist())]
+        write_timestamp_csv(series, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(["timestamp", "value"], rows)
+
+    def test_trace_csv(self, tmp_path):
+        trace = [1.7976931348623157e+308, 12.5, 0.1, 5e-324, 0.0]
+        write_trace_csv(trace, tmp_path / "j.csv")
+        assert (tmp_path / "j.csv").read_bytes() == csv_writer_bytes(["iteration", "J"], enumerate(trace))
