@@ -121,7 +121,7 @@ def _cmd_fit(args) -> int:
     report, seconds = _timed(fit, train, _fit_config(args))
     save_model(report.model, args.out)
     trace = report.objective_trace
-    status = "converged" if report.converged else "not converged"
+    status = "converged" if report.converged else f"not converged: {report.stop_reason}"
     print(f"fit: {len(train)} samples, J {trace[0]:.6g} -> {trace[-1]:.6g} "
           f"in {report.iterations} iterations ({status})")
     print(f"wrote {args.out}")

@@ -45,7 +45,6 @@ from .model import (
     _week_slots,
     ComponentId,
     DayCategory,
-    DayPeriod,
     DAYS_PER_WEEK,
     HOURS_PER_DAY,
     HOURS_PER_WEEK,
@@ -78,13 +77,13 @@ _LM_DIAGONAL_FLOOR = 1e-12
 # (63, 9) indicator of the component each Gaussian term belongs to.
 _TERM_INDICATOR = (_TERM_COMPONENT[:, None] == np.arange(len(ComponentId))).astype(float)
 
-# Hour windows searched for each period's initial peak; together they cover
-# [6, 24) and none crosses midnight.
-_PERIOD_WINDOWS = {
-    DayPeriod.MORNING: (6, 14),
-    DayPeriod.AFTERNOON: (14, 19),
-    DayPeriod.EVENING: (19, 24),
-}
+# The default start picks peaks among the hours 6-23 of a day, so none
+# crosses midnight; row h of _START_BUMPS is the Gaussian of variance
+# _START_VARIANCE (h^2) it subtracts at pick h, over those hours.
+_EARLIEST_START = 6
+_START_VARIANCE = 4.0
+_START_HOURS = np.arange(_EARLIEST_START, HOURS_PER_DAY)
+_START_BUMPS = np.exp(-np.subtract.outer(_START_HOURS, _START_HOURS) ** 2 / (2.0 * _START_VARIANCE))
 
 
 @dataclass(frozen=True)
@@ -212,37 +211,42 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
 
 
 def init_heuristic(data: TrafficSeries) -> WeeklyModel:
-    """Starting point from per-category day profiles.
+    """The start ``fit`` uses by default: greedy residual picks on its slot reduction.
 
-    A component's profile over its period's hour window comes from the
-    per-slot sample counts and sums: over the category's days, the sum of
-    an hour's samples over their count.  No window crosses midnight, so
-    every peak time starts in the day it belongs to.  The argmax hour
-    (earliest on ties) seeds peak_time and peak_rate, and every variance
-    starts at 4 h^2.  Traffic so large that a category's day sum
-    overflows raises ``WeekfitError``.
+    A day category's profile over the hours 6-23 is the sum of its days'
+    samples over their count.  Three times, the earliest hour where the
+    residual profile peaks is picked, and a Gaussian of the residual there
+    and variance 4 h^2 is subtracted.  Sorted by hour, the picks seed the
+    morning, afternoon and evening peaks; every variance starts at 4 h^2.
     """
     _require_full_week(data)
-    return _model_from_arrays(*_heuristic_arrays(data))
+    return _model_from_arrays(*_greedy_start(*_scaled_problem(data)))
 
 
-def _heuristic_arrays(data: TrafficSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``init_heuristic`` of a full week or more as (rates, times, variances), canonical order."""
-    counts, sums = (a.reshape(DAYS_PER_WEEK, HOURS_PER_DAY) for a in _slot_sums(data.values, data.start))
-    rates, times = [], []
-    # canonical order is every period of one category before the next category
-    with np.errstate(over="ignore"):  # a day sum that overflows is refused below
-        for category in DayCategory:
-            days = category.day_numbers  # consecutive, Monday = row 0
-            rows = slice(days[0] - 1, days[-1])
-            profile = sums[rows].sum(axis=0) / counts[rows].sum(axis=0)
-            for period in DayPeriod:
-                lo, hi = _PERIOD_WINDOWS[period]
-                best = lo + int(profile[lo:hi].argmax())
-                rates.append(profile[best])
-                times.append(best)
-    rates = _finite(np.array(rates), "a day profile")
-    return rates, np.array(times, dtype=float), np.full(len(ComponentId), 4.0)
+def _scaled_problem(data: TrafficSeries) -> tuple[_SlotProblem, float]:
+    """The slot problem of ``data`` divided by its maximum (1 for all-zero data), and that scale."""
+    # one step size then serves traffic rates of any magnitude
+    scale = float(np.max(data.values)) or 1.0
+    return _SlotProblem(data.values / scale, data.start), scale
+
+
+def _greedy_start(problem: _SlotProblem, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``init_heuristic`` of a scaled slot problem as (rates, times, variances), canonical order."""
+    per_slot = (problem.counts, problem.counts * problem.means)
+    counts, totals = (a.reshape(DAYS_PER_WEEK, HOURS_PER_DAY)[:, _EARLIEST_START:] for a in per_slot)
+    picks = []  # (peak time, rate); canonical order is every period of one category before the next
+    for category in DayCategory:
+        days = category.day_numbers  # consecutive, Monday = row 0
+        rows = slice(days[0] - 1, days[-1])
+        residual = totals[rows].sum(axis=0) / counts[rows].sum(axis=0)
+        category_picks = []
+        for _ in range(3):  # morning, afternoon and evening, in some order
+            best = int(residual.argmax())  # the earliest on ties
+            category_picks.append((_EARLIEST_START + best, residual[best] * scale))
+            residual = residual - residual[best] * _START_BUMPS[best]
+        picks += sorted(category_picks, key=lambda pick: pick[0])
+    times, rates = np.array(picks).T
+    return rates, times, np.full(len(ComponentId), _START_VARIANCE)
 
 
 def _project(x: np.ndarray) -> np.ndarray:
@@ -380,12 +384,8 @@ def fit(
         config = FitConfig()
     _require_full_week(data)
 
-    # Data and amplitudes are divided by the data maximum (1 for all-zero
-    # data) so one step size serves traffic rates of any magnitude.
-    scale = float(np.max(data.values)) or 1.0
-    problem = _SlotProblem(data.values / scale, data.start)
-
-    rates, times, variances = _heuristic_arrays(data) if init is None else _model_arrays(init)
+    problem, scale = _scaled_problem(data)
+    rates, times, variances = _greedy_start(problem, scale) if init is None else _model_arrays(init)
     x = np.column_stack([rates / scale, times, np.log(variances)]).ravel()
     solver, exhausted = _SOLVERS[config.method]
     x, trace, stop_reason = _iterate(problem, _project(x), config, solver(problem), exhausted)

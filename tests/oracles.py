@@ -63,31 +63,45 @@ def naive_aggregate(timestamps, values) -> tuple[np.ndarray, int]:
     return np.array([buckets[hour] for hour in hours]), start
 
 
-# Hour windows searched for each period's initial peak, keyed by the
-# component name's first letter.
-_PERIOD_WINDOWS = {"m": (6, 14), "a": (14, 19), "e": (19, 24)}
-
-
 def naive_init_heuristic(series) -> WeeklyModel:
-    """Starting point from 72 means: one per day category and hour of day.
+    """The greedy residual start from 54 profile values: per day category, hours 6 to 23.
 
-    Each component's category profile is scanned over its period window and
-    the earliest argmax hour seeds peak_time and peak_rate; variances are 4.
+    Values are divided by the series maximum first, as ``fit`` divides them.
+    A profile value is the count-weighted mean of its (day, hour) slots over
+    the category's days.  Three times, the earliest hour of the largest
+    residual is picked, with the residual there as its height, and that
+    height times exp(-(hour - pick)^2 / 8) is taken off every hour; the
+    picks, sorted by hour, are the morning, afternoon and evening components.
     """
-    cells = {}  # (component, hour of day) -> [sum, count] over the component's days
-    for i, value in enumerate(series.values.tolist()):
-        day, hour = naive_day_and_hour(series.start + i)
-        for comp in ComponentId:
-            if day in component_days(comp):
-                cell = cells.setdefault((comp, hour), [0.0, 0])
-                cell[0] += value
-                cell[1] += 1
+    values = series.values.tolist()
+    scale = max(values) or 1.0
+    slots = {}  # (day, hour) -> [sum, count] of the scaled values
+    for i, value in enumerate(values):
+        slot = slots.setdefault(naive_day_and_hour(series.start + i), [0.0, 0])
+        slot[0] += value / scale
+        slot[1] += 1
     components = {}
-    for comp in ComponentId:
-        profile = [cells[comp, h][0] / cells[comp, h][1] for h in range(24)]
-        lo, hi = _PERIOD_WINDOWS[comp.value[0]]
-        best = max(range(lo, hi), key=lambda h: profile[h])  # first maximum wins
-        components[comp] = ComponentParams(float(profile[best]), float(best), 4.0)
+    for category in ("w", "sa", "su"):
+        period_comps = [ComponentId(period + category) for period in "mae"]
+        days = component_days(period_comps[0])
+        residual = {}
+        for hour in range(6, 24):
+            total, count = 0.0, 0
+            for day in days:
+                slot_sum, slot_count = slots[day, hour]
+                total += slot_count * (slot_sum / slot_count)
+                count += slot_count
+            residual[hour] = total / count
+        picks = []
+        for _ in range(3):
+            best = max(range(6, 24), key=lambda h: residual[h])  # first maximum wins
+            height = residual[best]
+            picks.append((best, height))
+            for hour in range(6, 24):
+                residual[hour] -= height * math.exp(-((hour - best) ** 2) / 8.0)
+        picks.sort(key=lambda pick: pick[0])  # stable: equal hours keep their pick order
+        for comp, (best, height) in zip(period_comps, picks):
+            components[comp] = ComponentParams(height * scale, float(best), 4.0)
     return WeeklyModel(components)
 
 

@@ -123,6 +123,18 @@ class TestSynthFitPipeline:
         assert run("fit", "--input", data, "--train-weeks", 2, "--out", model,
                    "--max-iterations", 50) == 0
 
+    def test_fit_names_why_it_stopped(self, tmp_path, gz_path, capsys):
+        # a converged fit's line ends "(converged)"; any other names its stop reason
+        data = tmp_path / "data.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 2, "--noise", 100,
+                   "--seed", 3, "--out", data) == 0
+        fit = ["fit", "--input", data, "--train-weeks", 2, "--out", tmp_path / "fit.json"]
+        for flags, status in (([], "converged"), (["--max-iterations", 1], "not converged: max_iterations")):
+            capsys.readouterr()
+            assert run(*fit, *flags) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            assert re.fullmatch(rf"fit: 336 samples, J \S+ -> \S+ in \d+ iterations \({status}\)", first)
+
     def test_evaluate_perfect_model_scores_one(self, tmp_path, gz_path, capsys):
         data = tmp_path / "data.csv"
         assert run("synth", "--model", gz_path, "--weeks", 3, "--noise", 0,
