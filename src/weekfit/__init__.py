@@ -11,15 +11,16 @@ _SUBMODULE_OF = {
     name: submodule
     for submodule, names in {
         "baselines": "BaselineKind baseline_predict",
-        "dataio": "Readings SplitSpec aggregate_hourly bundled_model load_csv load_model save_model"
-                  " split training_window write_series_csv write_timestamp_csv write_trace_csv",
+        "dataio": "Readings SplitSpec aggregate_hourly load_csv split training_window write_series_csv"
+                  " write_timestamp_csv write_trace_csv",
         "errors": "ConstantActualError CsvFormatError GapError ModelFormatError SeriesTooShortError"
                   " WeekfitError",
         "estimator": "FitConfig FitReport fit gradient init_heuristic objective",
         "metrics": "EvalReport mae mse r2 rmse",
-        "model": "ComponentId ComponentParams DayCategory DayPeriod HOURS_PER_DAY HOURS_PER_WEEK"
-                 " TrafficSeries WeekClock WeeklyModel generate_synthetic predict_series"
-                 " sigma_interval week_clock_at weekly_value",
+        "model": "TrafficSeries generate_synthetic predict_series weekly_value",
+        "params": "ComponentId ComponentParams DayCategory DayPeriod HOURS_PER_DAY HOURS_PER_WEEK"
+                  " WeekClock WeeklyModel bundled_model load_model save_model sigma_interval"
+                  " week_clock_at",
     }.items()
     for name in names.split()
 }

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import enum
 
-from .model import HOURS_PER_WEEK, TrafficSeries, _repeat_week, _require_full_week, _slot_sums
+from .model import TrafficSeries, _repeat_week, _require_full_week, _slot_sums
+from .params import HOURS_PER_WEEK
 
 
 class BaselineKind(enum.Enum):

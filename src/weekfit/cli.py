@@ -5,8 +5,10 @@ series), and 2 for internal faults.  All file outputs use fixed float
 formatting so identical invocations produce byte-identical files.  Wall
 time is measured here alone (``_timed``), never by the library, and shown
 only by ``--timing`` and in compare's train_s/predict_s columns.
+Only ``errors`` and ``params`` are imported here; ``dataio``, ``model``,
 ``estimator``, ``metrics`` and ``baselines`` are imported by the commands
-that call them, so ``synth``, ``predict`` and ``inspect`` never load them.
+that call them. So ``synth`` and ``predict`` never load the fitting code,
+and ``inspect`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -17,26 +19,13 @@ import math
 import sys
 import time
 
-from .dataio import (
-    _write_csv,
-    SplitSpec,
-    aggregate_hourly,
-    load_csv,
-    load_model,
-    save_model,
-    split,
-    training_window,
-    write_series_csv,
-    write_timestamp_csv,
-    write_trace_csv,
-)
 from .errors import WeekfitError, _integer, _real
-from .model import (
+from .params import (
     _MAX_HOURS,
     ComponentId,
     HOURS_PER_WEEK,
-    generate_synthetic,
-    predict_series,
+    load_model,
+    save_model,
     sigma_interval,
     week_clock_at,
 )
@@ -79,8 +68,11 @@ def _write_line_svg(ys, path, title: str) -> None:
         )
 
 
-def _load_series(path, train_weeks: int):
-    spec = SplitSpec(train_weeks=train_weeks)
+def _load_series(path, train_weeks: int | None):
+    """The CSV's hourly series and its ``SplitSpec``, which holds the default training weeks."""
+    from .dataio import SplitSpec, aggregate_hourly, load_csv
+
+    spec = SplitSpec() if train_weeks is None else SplitSpec(train_weeks=train_weeks)
     return aggregate_hourly(load_csv(path)), spec
 
 
@@ -94,6 +86,8 @@ def _fit_config(args):
 
 def _model_forecast(model, test):
     """Zero-argument forecast of the test window from the week clock at its start."""
+    from .model import predict_series
+
     return lambda: predict_series(model, len(test), *week_clock_at(test.start))
 
 
@@ -114,6 +108,7 @@ def _score(test, forecast, train_seconds: float = 0.0) -> dict:
 
 
 def _cmd_fit(args) -> int:
+    from .dataio import training_window, write_trace_csv
     from .estimator import fit
 
     series, spec = _load_series(args.input, args.train_weeks)
@@ -137,6 +132,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    from .dataio import write_series_csv
+    from .model import predict_series
+
     model = load_model(args.model)
     series = predict_series(model, args.weeks * HOURS_PER_WEEK)
     write_series_csv(series, args.out)
@@ -148,6 +146,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .dataio import split
+
     model = load_model(args.model)
     series, spec = _load_series(args.input, args.train_weeks)
     _, test = split(series, spec)
@@ -163,6 +163,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .dataio import write_timestamp_csv
+    from .model import generate_synthetic
+
     model = load_model(args.model)
     series = generate_synthetic(model, args.weeks, args.noise, args.seed)
     write_timestamp_csv(series, args.out)
@@ -195,6 +198,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .baselines import BaselineKind, baseline_predict
+    from .dataio import _write_csv, split
     from .estimator import fit
 
     series, spec = _load_series(args.input, args.train_weeks)
@@ -248,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_input_flags(p):
         p.add_argument("--input", required=True)
-        p.add_argument("--train-weeks", type=_at_least(1), default=SplitSpec.train_weeks)
+        p.add_argument("--train-weeks", type=_at_least(1))
 
     def add_fit_flags(p):
         p.add_argument("--max-iterations", type=_at_least(1))

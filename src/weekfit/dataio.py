@@ -1,16 +1,14 @@
-"""Ingestion, train/test splitting, and persistence of series and models."""
+"""Ingestion, train/test splitting, and series files; the model file is in ``params``."""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import operator
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from importlib import resources
 from itertools import chain, islice
 from typing import Iterable, Sequence
 
@@ -19,24 +17,20 @@ import numpy as np
 from .errors import (
     CsvFormatError,
     GapError,
-    ModelFormatError,
     SeriesTooShortError,
     WeekfitError,
     _finite,
     _integer,
-    _real,
     _reals,
 )
-from .model import (
-    ComponentId,
-    ComponentParams,
-    HOURS_PER_DAY,
-    HOURS_PER_WEEK,
-    TrafficSeries,
-    WeeklyModel,
+from .model import TrafficSeries
+# the model file is read and written in params.py, which needs no numpy; its
+# functions, types and checks are also importable from here, as weekfit.dataio.<name>
+from .errors import ModelFormatError, _real
+from .params import (
+    _PARAM_FIELDS, ComponentId, ComponentParams, HOURS_PER_DAY, HOURS_PER_WEEK, WeeklyModel, bundled_model,
+    load_model, save_model,
 )
-
-_PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
 
 # Synthetic exports anchor absolute hour 0 here; it is a Monday, as week
 # slot 0 is.
@@ -288,74 +282,6 @@ def split(series: TrafficSeries, spec: SplitSpec | None = None) -> tuple[Traffic
             f"no samples left to test on after {len(train)} training samples"
         )
     return train, series.window(len(train), len(series))
-
-
-def save_model(model: WeeklyModel, path) -> None:
-    """Write the nine-component parameter set as JSON.
-
-    Floats serialize via ``repr`` (shortest round-trip form), so
-    ``load_model(save_model(m)) == m`` exactly.
-    """
-    payload = {
-        comp.value: {name: getattr(model[comp], name) for name in _PARAM_FIELDS}
-        for comp in ComponentId
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
-
-
-def load_model(path) -> WeeklyModel:
-    """Read a model parameter JSON file, rejecting unknown or missing keys."""
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
-            raise ModelFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ModelFormatError("model file must contain a JSON object")
-    known = {comp.value for comp in ComponentId}
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise ModelFormatError(f"unknown component keys: {', '.join(unknown)}")
-    components = {}
-    for comp in ComponentId:
-        if comp.value not in payload:
-            raise ModelFormatError(f"missing component {comp.value!r}")
-        entry = payload[comp.value]
-        if not isinstance(entry, dict):
-            raise ModelFormatError(f"component {comp.value!r} must be an object")
-        extra = sorted(set(entry) - set(_PARAM_FIELDS))
-        if extra:
-            raise ModelFormatError(
-                f"component {comp.value!r} has unknown keys: {', '.join(extra)}"
-            )
-        values = {}
-        for name in _PARAM_FIELDS:
-            if name not in entry:
-                raise ModelFormatError(f"component {comp.value!r} is missing {name!r}")
-            try:
-                values[name] = _real(entry[name], f"{comp.value}.{name}")
-            except ValueError as exc:
-                raise ModelFormatError(str(exc)) from None
-        try:
-            components[comp] = ComponentParams(**values)
-        except ValueError as exc:
-            raise ModelFormatError(f"component {comp.value!r}: {exc}") from None
-    return WeeklyModel(components)
-
-
-def bundled_model(name: str) -> WeeklyModel:
-    """Load one of the reference parameter sets shipped with the package.
-
-    Available names: ``guangzhou`` and ``milan`` (fitted to SMS traffic
-    from those cities).
-    """
-    fixture = resources.files("weekfit") / "fixtures" / f"{name}.json"
-    if not fixture.is_file():
-        raise WeekfitError(f"no bundled model named {name!r}")
-    with resources.as_file(fixture) as path:
-        return load_model(path)
 
 
 def _write_csv(path, header: list[str], rows: Iterable[Sequence[str]]) -> None:

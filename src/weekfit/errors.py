@@ -1,10 +1,11 @@
 """Exception types, and the package's only rules for numbers and their bounds: ``_finite`` for
-overflow, ``_integer`` for whole numbers, and ``_real`` and ``_reals`` for real numbers."""
+overflow, ``_integer`` for whole numbers, and ``_real`` and ``_reals`` for real numbers.
+
+numpy is imported only inside ``_finite`` and ``_reals``, so loading a
+model (``params``) never imports it."""
 
 import math
 import numbers
-
-import numpy as np
 
 
 class WeekfitError(Exception):
@@ -37,6 +38,8 @@ class ConstantActualError(WeekfitError):
 
 def _finite(values, what: str):
     """``values`` unchanged; an entry past the float range (traffic too large) raises WeekfitError."""
+    import numpy as np
+
     if not np.isfinite(values).all():
         raise WeekfitError(f"{what} overflows the float range; the traffic values are too large")
     return values
@@ -46,7 +49,7 @@ def _integer(value, what: str, lowest: int, highest=math.inf) -> int:
     """``int(value)`` for an int (not a bool) or integral float in [``lowest``, ``highest``], else ValueError."""
     is_number = isinstance(value, numbers.Real) and not isinstance(value, bool)
     # int(value), not value, meets highest: np.float16(6.0) <= 2**63 warns of an overflow
-    if not (is_number and lowest <= value < np.inf and value % 1 == 0 and int(value) <= highest):
+    if not (is_number and lowest <= value < math.inf and value % 1 == 0 and int(value) <= highest):
         bounds = f"in [{lowest}, {highest}]" if highest < math.inf else f">= {lowest}"
         raise ValueError(f"{what} must be an integer {bounds}, got {value!r}")
     return int(value)
@@ -67,8 +70,10 @@ def _real(value, what: str, lowest=-math.inf, strict=False, below=math.inf) -> f
     return number
 
 
-def _reals(values, what: str, lowest=0) -> np.ndarray:
-    """A read-only float copy of ``values`` if all are finite numbers >= ``lowest``, else ValueError."""
+def _reals(values, what: str, lowest=0):
+    """A read-only float64 array of ``values`` if all are finite numbers >= ``lowest``, else ValueError."""
+    import numpy as np
+
     kind = np.asarray(values).dtype.kind
     if kind == "O" and isinstance(values, (list, tuple)) and all(
         isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values

@@ -43,20 +43,15 @@ from .model import (
     _require_full_week,
     _slot_sums,
     _week_slots,
-    ComponentId,
-    DayCategory,
-    DAYS_PER_WEEK,
-    HOURS_PER_DAY,
-    HOURS_PER_WEEK,
     TrafficSeries,
-    WeeklyModel,
 )
+from .params import ComponentId, DayCategory, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeeklyModel
 
 N_PARAMETERS = 3 * len(ComponentId)
 
 # Armijo sufficient-decrease slope, the factor each rejected GD trial step
 # is multiplied by, and the floor used in the relative objective-change
-# stop test (normalized units).
+# stop test, at or below which J itself stops a fit (normalized units).
 _ARMIJO_SLOPE = 1e-4
 _BACKTRACKING_FACTOR = 0.5
 _STOP_FLOOR = 1e-12
@@ -94,6 +89,9 @@ class FitConfig:
     ``"gd"`` (projected gradient descent).  ``relative_tolerance`` applies to
     the per-iteration objective drop |dJ| / max(J, 1e-12).  J never rises, so
     the drop lies in [0, 1], and only a tolerance in (0, 1) can mean convergence.
+    A fit also converges once J, on data divided by its maximum, is at most
+    1e-12: below that floor the drop is an absolute one and may stay above
+    the tolerance until ``max_iterations``.
     """
 
     max_iterations: int = 5000
@@ -270,7 +268,7 @@ def _iterate(problem: _SlotProblem, x: np.ndarray, config: FitConfig, advance, e
         drop = (point.value - accepted[1].value) / max(point.value, _STOP_FLOOR)
         x, point = accepted
         trace.append(point.value)
-        if drop < config.relative_tolerance:
+        if drop < config.relative_tolerance or point.value <= _STOP_FLOOR:
             return x, trace, "tolerance"
     return x, trace, "max_iterations"
 

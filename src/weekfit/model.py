@@ -11,141 +11,17 @@ side, so the profile is exactly 168-hour periodic.
 
 from __future__ import annotations
 
-import enum
-import itertools
-import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .errors import SeriesTooShortError, _finite, _integer, _real, _reals
-
-HOURS_PER_DAY = 24
-DAYS_PER_WEEK = 7
-HOURS_PER_WEEK = HOURS_PER_DAY * DAYS_PER_WEEK
-_MAX_HOURS = 2**63 - HOURS_PER_WEEK  # the longest horizon whose offsets _week_slots counts in int64
-
-
-class DayCategory(enum.Enum):
-    """Day-of-week class sharing one set of component parameters."""
-
-    WEEKDAY = "weekday"
-    SATURDAY = "saturday"
-    SUNDAY = "sunday"
-
-    @property
-    def day_numbers(self) -> tuple[int, ...]:
-        """Day indices covered by this category (Monday = 1 .. Sunday = 7)."""
-        return _CATEGORY_DAYS[self]
-
-
-_CATEGORY_DAYS = {
-    DayCategory.WEEKDAY: (1, 2, 3, 4, 5),
-    DayCategory.SATURDAY: (6,),
-    DayCategory.SUNDAY: (7,),
-}
-
-
-class DayPeriod(enum.Enum):
-    """Daily activity period a component belongs to."""
-
-    MORNING = "morning"
-    AFTERNOON = "afternoon"
-    EVENING = "evening"
-
-
-class ComponentId(enum.Enum):
-    """The nine traffic components, one per (day category, period) pair.
-
-    Iteration order is the canonical parameter order used everywhere:
-    weekday components first, then Saturday, then Sunday, each in
-    morning/afternoon/evening order.
-    """
-
-    MW = "mw"
-    AW = "aw"
-    EW = "ew"
-    MSA = "msa"
-    ASA = "asa"
-    ESA = "esa"
-    MSU = "msu"
-    ASU = "asu"
-    ESU = "esu"
-
-    @property
-    def category(self) -> DayCategory:
-        return _COMPONENT_LAYOUT[self][0]
-
-    @property
-    def period(self) -> DayPeriod:
-        return _COMPONENT_LAYOUT[self][1]
-
-
-# (category, period) of each component, following the canonical order above.
-_COMPONENT_LAYOUT = dict(zip(ComponentId, itertools.product(DayCategory, DayPeriod)))
-
-
-@dataclass(frozen=True)
-class ComponentParams:
-    """Shape of one traffic component.
-
-    peak_rate is the component maximum in messages/hour, peak_time the
-    hour of day at which it occurs, and variance (hours^2) controls how
-    widely users spread their activity around that preference.
-    """
-
-    peak_rate: float
-    peak_time: float
-    variance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "peak_rate", _real(self.peak_rate, "peak_rate", 0))
-        object.__setattr__(self, "peak_time", _real(self.peak_time, "peak_time", 0, below=HOURS_PER_DAY))
-        object.__setattr__(self, "variance", _real(self.variance, "variance", 0, strict=True))
-
-
-@dataclass(frozen=True)
-class WeeklyModel:
-    """Complete parameter set: one ComponentParams per ComponentId."""
-
-    components: Mapping[ComponentId, ComponentParams]
-
-    def __post_init__(self):
-        unknown = [key for key in self.components if not isinstance(key, ComponentId)]
-        if unknown:
-            raise ValueError(f"unknown component keys: {unknown!r}")
-        missing = [c.value for c in ComponentId if c not in self.components]
-        if missing:
-            raise ValueError(f"missing components: {', '.join(missing)}")
-        ordered = {c: self.components[c] for c in ComponentId}
-        object.__setattr__(self, "components", MappingProxyType(ordered))
-
-    def __getitem__(self, component: ComponentId) -> ComponentParams:
-        return self.components[component]
-
-    def __hash__(self):  # MappingProxyType itself is unhashable
-        return hash(tuple(self.components[c] for c in ComponentId))
-
-
-@dataclass(frozen=True)
-class WeekClock:
-    """Position within a week: day index (1 = Monday .. 7 = Sunday) and hour of day."""
-
-    day: int
-    hour: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "day", _integer(self.day, "day", 1, DAYS_PER_WEEK))
-        object.__setattr__(self, "hour", _real(self.hour, "hour", 0, below=HOURS_PER_DAY))
-
-
-def week_clock_at(hour_index: int) -> tuple[int, WeekClock]:
-    """Week number and clock of a non-negative integer hour counter (0 = Monday 00:00 of week 0)."""
-    week, in_week = divmod(_integer(hour_index, "hour_index", 0), HOURS_PER_WEEK)
-    day, hour = divmod(in_week, HOURS_PER_DAY)
-    return week, WeekClock(day + 1, hour)
+# the parameters and the week layout are defined in params.py, which needs no
+# numpy; every one of them is also importable from here, as weekfit.model.<name>
+from .params import (
+    _CATEGORY_DAYS, _COMPONENT_LAYOUT, _MAX_HOURS, ComponentId, ComponentParams, DayCategory, DayPeriod,
+    DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeekClock, WeeklyModel, sigma_interval, week_clock_at,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,16 +175,6 @@ def predict_series(
         raise ValueError(f"start hour must be integral, got {start_clock.hour!r}")
     first = (_integer(start_week, "start_week", 0) * DAYS_PER_WEEK + start_clock.day - 1) * HOURS_PER_DAY
     return _repeat_week(_values_at(model, _SLOT_GRID), first + int(start_clock.hour), n_hours)
-
-
-def sigma_interval(params: ComponentParams) -> tuple[float, float]:
-    """(peak_time - sigma, peak_time + sigma): the ~68% activity window.
-
-    Endpoints may fall outside [0, 24); callers render those as previous-
-    or next-day times.
-    """
-    sigma = math.sqrt(params.variance)
-    return params.peak_time - sigma, params.peak_time + sigma
 
 
 @np.errstate(over="ignore")  # _finite refuses a noisy rate that overflows

@@ -123,6 +123,20 @@ class TestSynthFitPipeline:
         assert run("fit", "--input", data, "--train-weeks", 2, "--out", model,
                    "--max-iterations", 50) == 0
 
+    def test_train_weeks_default_is_split_specs(self, tmp_path, gz_path, capsys):
+        data = tmp_path / "data.csv"
+        model = tmp_path / "fit.json"
+        assert run("synth", "--model", gz_path, "--weeks", 3, "--noise", 100,
+                   "--seed", 3, "--out", data) == 0
+        printed = []
+        for flags in ([], ["--train-weeks", SplitSpec().train_weeks]):
+            capsys.readouterr()
+            assert run("fit", "--input", data, "--out", model, *flags) == 0
+            assert run("evaluate", "--model", model, "--input", data, *flags) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert printed[0].startswith("fit: 336 samples")
+
     def test_fit_names_why_it_stopped(self, tmp_path, gz_path, capsys):
         # a converged fit's line ends "(converged)"; any other names its stop reason
         data = tmp_path / "data.csv"

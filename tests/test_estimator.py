@@ -377,6 +377,13 @@ class TestStopReason:
         assert report.stop_reason == "tolerance"
         assert report.converged
 
+    def test_constant_traffic_stops_at_the_objective_floor(self):
+        # scaled J falls below the 1e-12 floor of the relative drop, after which
+        # each step's drop would stay above the tolerance to max_iterations (5,000)
+        report = fit(TrafficSeries(np.full(168, 37.5), 0))
+        assert report.stop_reason == "tolerance"
+        assert report.iterations < 1000
+
     @pytest.mark.parametrize("method", ["lm", "gd"])
     def test_max_iterations(self, guangzhou, method):
         data = generate_synthetic(guangzhou, 1, 300.0, seed=5)

@@ -1,4 +1,7 @@
-"""The package's exports: every public name resolves, and a process loads only the submodules it calls."""
+"""The package's exports: every public name resolves, and a process loads only the submodules it calls.
+
+Reading, saving and printing a model loads ``errors`` and ``params`` alone, and no numpy.
+"""
 
 import os
 import subprocess
@@ -13,9 +16,8 @@ import weekfit
 EXPORTS = {
     "baselines": ["BaselineKind", "baseline_predict"],
     "dataio": [
-        "Readings", "SplitSpec", "aggregate_hourly", "bundled_model", "load_csv", "load_model",
-        "save_model", "split", "training_window", "write_series_csv", "write_timestamp_csv",
-        "write_trace_csv",
+        "Readings", "SplitSpec", "aggregate_hourly", "load_csv", "split", "training_window",
+        "write_series_csv", "write_timestamp_csv", "write_trace_csv",
     ],
     "errors": [
         "ConstantActualError", "CsvFormatError", "GapError", "ModelFormatError",
@@ -23,10 +25,23 @@ EXPORTS = {
     ],
     "estimator": ["FitConfig", "FitReport", "fit", "gradient", "init_heuristic", "objective"],
     "metrics": ["EvalReport", "mae", "mse", "r2", "rmse"],
-    "model": [
+    "model": ["TrafficSeries", "generate_synthetic", "predict_series", "weekly_value"],
+    "params": [
         "ComponentId", "ComponentParams", "DayCategory", "DayPeriod", "HOURS_PER_DAY",
-        "HOURS_PER_WEEK", "TrafficSeries", "WeekClock", "WeeklyModel", "generate_synthetic",
-        "predict_series", "sigma_interval", "week_clock_at", "weekly_value",
+        "HOURS_PER_WEEK", "WeekClock", "WeeklyModel", "bundled_model", "load_model", "save_model",
+        "sigma_interval", "week_clock_at",
+    ],
+}
+# names that moved to params, and the submodules they still resolve in
+MOVED = {
+    "model": [
+        "HOURS_PER_DAY", "DAYS_PER_WEEK", "HOURS_PER_WEEK", "_MAX_HOURS", "DayCategory",
+        "_CATEGORY_DAYS", "DayPeriod", "ComponentId", "_COMPONENT_LAYOUT", "ComponentParams",
+        "WeeklyModel", "WeekClock", "week_clock_at", "sigma_interval",
+    ],
+    "dataio": [
+        "_PARAM_FIELDS", "save_model", "load_model", "bundled_model", "ComponentId",
+        "ComponentParams", "HOURS_PER_DAY", "HOURS_PER_WEEK", "WeeklyModel",
     ],
 }
 NAMES = [name for names in EXPORTS.values() for name in names]
@@ -36,8 +51,8 @@ SRC = Path(weekfit.__file__).parent.parent
 
 
 def _loaded_after(code: str) -> list[str]:
-    """The weekfit modules a fresh interpreter holds after running ``code``."""
-    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('weekfit')))"
+    """The weekfit modules, and numpy if loaded, that a fresh interpreter holds after running ``code``."""
+    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('weekfit') or m == 'numpy'))"
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     return result.stdout.split()
@@ -49,6 +64,13 @@ def test_every_name_is_its_submodules_object(submodule):
     assert module.__name__ == f"weekfit.{submodule}"
     for name in EXPORTS[submodule]:
         assert getattr(weekfit, name) is getattr(module, name)
+
+
+@pytest.mark.parametrize("old", MOVED)
+def test_moved_names_keep_their_old_paths(old):
+    module = getattr(weekfit, old)
+    for name in MOVED[old]:
+        assert getattr(module, name) is getattr(weekfit.params, name), name
 
 
 def test_star_import_binds_every_name():
@@ -67,8 +89,14 @@ def test_unknown_name_raises_attribute_error():
 
 def test_bundled_model_loads_no_fitting_code():
     loaded = _loaded_after("import weekfit; weekfit.bundled_model('milan')")
-    assert "weekfit.dataio" in loaded
-    assert not set(UNUSED) & set(loaded), loaded
+    assert loaded == ["weekfit", "weekfit.errors", "weekfit.params"]
+
+
+def test_inspect_loads_no_numpy():
+    model = SRC / "weekfit" / "fixtures" / "milan.json"
+    argv = ["inspect", "--model", str(model)]
+    loaded = _loaded_after(f"from weekfit.cli import main; assert main({argv!r}) == 0")
+    assert "numpy" not in loaded, loaded
 
 
 def test_synth_predict_and_inspect_load_no_fitting_code(tmp_path):
