@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .model import TrafficSeries, _repeat_week, _require_full_week, _slot_sums
+from .model import TrafficSeries, _repeat_week, _require_full_week, _slot_statistics
 from .params import HOURS_PER_WEEK
 
 
@@ -30,5 +30,4 @@ def baseline_predict(kind: BaselineKind | str, train: TrafficSeries, n_hours: in
     _require_full_week(train)
     if kind is BaselineKind.SEASONAL_NAIVE:
         train = train.window(len(train) - HOURS_PER_WEEK, len(train))
-    counts, sums = _slot_sums(train.values, train.start)
-    return _repeat_week(sums / counts, train.end, n_hours)
+    return _repeat_week(_slot_statistics(train.values, train.start)[1], train.end, n_hours)

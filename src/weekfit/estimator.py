@@ -41,8 +41,7 @@ from .model import (
     _model_arrays,
     _model_from_arrays,
     _require_full_week,
-    _slot_sums,
-    _week_slots,
+    _slot_statistics,
     TrafficSeries,
 )
 from .params import ComponentId, DayCategory, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeeklyModel
@@ -106,7 +105,7 @@ class FitConfig:
             raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {self.method!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitReport:
     """Outcome of one fit: the model plus the convergence record.
 
@@ -132,6 +131,12 @@ class FitReport:
             )
         object.__setattr__(self, "objective_trace", trace)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FitReport):
+            return NotImplemented
+        same = self.model == other.model and self.stop_reason == other.stop_reason
+        return same and np.array_equal(self.objective_trace, other.objective_trace)
+
     @property
     def iterations(self) -> int:
         """Accepted steps: one less than the trace length."""
@@ -143,13 +148,10 @@ class FitReport:
 
 
 class _SlotProblem:
-    """Slot counts n_s, means y_s and W = sum (y - y_slot)^2 of ``values`` from hour ``start``."""
+    """Slot counts n_s, means y_s and W = sum (y - y_slot)^2 of a series (``_slot_statistics``)."""
 
-    def __init__(self, values: np.ndarray, start: int):
-        self.counts, sums = _slot_sums(values, start)
-        self.means = sums / np.maximum(self.counts, 1.0)
-        spread = values - self.means[_week_slots(start, values.size)]
-        self.within = float(spread @ spread)
+    def __init__(self, counts: np.ndarray, means: np.ndarray, within: float):
+        self.counts, self.means, self.within = counts, means, within
 
     def at_vector(self, x: np.ndarray) -> _SlotPoint:
         """The point of a transformed vector (amplitude, peak time, log-variance)."""
@@ -195,7 +197,7 @@ def _vector_jacobian(point: _SlotPoint) -> np.ndarray:
 
 def objective(model: WeeklyModel, data: TrafficSeries) -> float:
     """Sum of squared residuals between the model and the measurements."""
-    return _SlotPoint(_SlotProblem(data.values, data.start), *_model_arrays(model)).value
+    return _SlotPoint(_SlotProblem(*_slot_statistics(data.values, data.start)), *_model_arrays(model)).value
 
 
 def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
@@ -204,7 +206,7 @@ def gradient(model: WeeklyModel, data: TrafficSeries) -> np.ndarray:
     Order: canonical component order, (peak_rate, peak_time, variance)
     within each component.
     """
-    point = _SlotPoint(_SlotProblem(data.values, data.start), *_model_arrays(model))
+    point = _SlotPoint(_SlotProblem(*_slot_statistics(data.values, data.start)), *_model_arrays(model))
     return 2.0 * (point.jacobian().T @ point.folded)
 
 
@@ -225,7 +227,7 @@ def _scaled_problem(data: TrafficSeries) -> tuple[_SlotProblem, float]:
     """The slot problem of ``data`` divided by its maximum (1 for all-zero data), and that scale."""
     # one step size then serves traffic rates of any magnitude
     scale = float(np.max(data.values)) or 1.0
-    return _SlotProblem(data.values / scale, data.start), scale
+    return _SlotProblem(*_slot_statistics(data.values / scale, data.start)), scale
 
 
 def _greedy_start(problem: _SlotProblem, scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -74,11 +74,15 @@ def _week_slots(start: int, n_hours: int) -> np.ndarray:
     return (start % HOURS_PER_WEEK + np.arange(n_hours)) % HOURS_PER_WEEK
 
 
-def _slot_sums(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sample count and sum of the 168 week slots for ``values`` from absolute hour ``start``."""
+@np.errstate(over="ignore")  # a W past the float range is inf: baselines never read it, fit refuses its J
+def _slot_statistics(values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Counts n_s, means y_s (0 for an empty slot) and W = sum (y - y_slot)^2 of the 168 week slots."""
     slots = _week_slots(start, values.size)
+    counts = np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float)
     sums = _finite(np.bincount(slots, weights=values, minlength=HOURS_PER_WEEK), "a slot sum")
-    return np.bincount(slots, minlength=HOURS_PER_WEEK).astype(float), sums
+    means = sums / np.maximum(counts, 1.0)
+    spread = values - means[slots]
+    return counts, means, float(spread @ spread)
 
 
 def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries:

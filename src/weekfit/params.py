@@ -194,16 +194,11 @@ def load_model(path) -> WeeklyModel:
             raise ModelFormatError(
                 f"component {comp.value!r} has unknown keys: {', '.join(extra)}"
             )
-        values = {}
         for name in _PARAM_FIELDS:
             if name not in entry:
                 raise ModelFormatError(f"component {comp.value!r} is missing {name!r}")
-            try:
-                values[name] = _real(entry[name], f"{comp.value}.{name}")
-            except ValueError as exc:
-                raise ModelFormatError(str(exc)) from None
-        try:
-            components[comp] = ComponentParams(**values)
+        try:  # ComponentParams is the one check of a value
+            components[comp] = ComponentParams(**entry)
         except ValueError as exc:
             raise ModelFormatError(f"component {comp.value!r}: {exc}") from None
     return WeeklyModel(components)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def elevated_model() -> WeeklyModel:
 
 
 class TestBaselinePredict:
+    def test_huge_traffic_without_warning(self):
+        # the within-slot sum of squares of this traffic passes the float
+        # range; a baseline reads only the slot means, which stay finite
+        train = TrafficSeries(np.random.default_rng(0).uniform(0.0, 1e300, 336), 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in BaselineKind:
+                assert np.isfinite(baseline_predict(kind, train, 168).values).all()
+
     def test_start_of_any_size(self):
         rng = np.random.default_rng(9)
         values = rng.uniform(1, 9, 200)

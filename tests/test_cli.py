@@ -311,15 +311,20 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ('{"mw": {"peak_rate": 1' + "0" * 400 + "}}", "mw.peak_rate must be finite"),
+            ('{"mw": {"peak_rate": 1' + "0" * 400 + ', "peak_time": 12, "variance": 1}}',
+             "component 'mw': peak_rate must be finite"),
             ("[" * 100_000, "invalid JSON: "),
             ("[]", "model file must contain a JSON object"),
             ('{"mw": 1}', "component 'mw' must be an object"),
-            ('{"mw": {"peak_rate": "1", "peak_time": 12, "variance": 1}}', "mw.peak_rate must be a number"),
-            ('{"mw": {"peak_rate": true, "peak_time": 12, "variance": 1}}', "mw.peak_rate must be a number"),
+            ('{"mw": {"peak_rate": "1", "peak_time": 12, "variance": 1}}',
+             "component 'mw': peak_rate must be a number"),
+            ('{"mw": {"peak_rate": true, "peak_time": 12, "variance": 1}}',
+             "component 'mw': peak_rate must be a number"),
+            # the fields are checked before their values
+            ('{"mw": {"peak_rate": "1"}}', "component 'mw' is missing 'peak_time'"),
         ],
         ids=["integer-beyond-float", "deep-nesting", "array", "component-not-object",
-             "string-parameter", "boolean-parameter"],
+             "string-parameter", "boolean-parameter", "missing-field-before-bad-value"],
     )
     def test_malformed_model_json(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"

@@ -503,7 +503,7 @@ class TestModelPersistence:
         path = tmp_path / "model.json"
         save_model(guangzhou, path)
         path.write_text(path.read_text().replace("4626.0", "1" + "0" * 400))
-        with pytest.raises(ModelFormatError, match="mw.peak_rate must be finite"):
+        with pytest.raises(ModelFormatError, match="component 'mw': peak_rate must be finite"):
             load_model(path)
 
     def test_deep_nesting_rejected(self, tmp_path):

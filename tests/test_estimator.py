@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from datetime import datetime
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weekfit import estimator
+from weekfit.model import _model_arrays, _slot_statistics
 from weekfit import (
     ComponentId,
     ComponentParams,
@@ -221,6 +223,41 @@ class TestFitReport:
     def test_rejects_empty_trace(self, guangzhou):
         with pytest.raises(ValueError, match="non-empty"):
             FitReport(guangzhou, np.array([]), "tolerance")
+
+    def test_compares_by_value(self, guangzhou):
+        data = generate_synthetic(guangzhou, 2, 50.0, seed=0)
+        report = fit(data)
+        assert report == fit(data)
+        assert report != fit(data, FitConfig(max_iterations=3))
+        assert (report == "x") is False
+        with pytest.raises(TypeError):
+            hash(report)  # the trace is an array, as in TrafficSeries
+
+
+class TestSlotStatistics:
+    @pytest.mark.parametrize("start, n_hours", [(100, 400), (30, 120)],
+                             ids=["mid-week-start-partial-end", "shorter-than-a-week"])
+    def test_matches_a_per_slot_loop(self, start, n_hours):
+        values = np.random.default_rng(start).uniform(0.0, 100.0, n_hours)
+        counts, means, within = _slot_statistics(values, start)
+        by_slot = [[] for _ in range(168)]
+        for i, value in enumerate(values.tolist()):
+            by_slot[(start + i) % 168].append(value)
+        assert counts.tolist() == [len(samples) for samples in by_slot]
+        loop_means = [math.fsum(samples) / len(samples) if samples else 0.0 for samples in by_slot]
+        assert means == pytest.approx(loop_means, rel=1e-14, abs=0.0)
+        assert (0 in counts) is (n_hours < 168)  # the short series leaves slots empty
+        loop_within = math.fsum((v - loop_means[(start + i) % 168]) ** 2 for i, v in enumerate(values.tolist()))
+        assert within == pytest.approx(loop_within, rel=1e-12)
+
+    def test_slot_problem_gives_objective(self, guangzhou):
+        data = generate_synthetic(guangzhou, 2, 50.0, seed=3).window(5, 300)
+        start = init_heuristic(data)
+        problem = estimator._SlotProblem(*_slot_statistics(data.values, data.start))
+        for model in (guangzhou, start):
+            value = estimator._SlotPoint(problem, *_model_arrays(model)).value
+            assert value == objective(model, data)  # bit for bit
+            assert value == pytest.approx(naive_objective(model, data), rel=1e-9)
 
 
 class TestFit:
