@@ -53,8 +53,8 @@ class Readings:
     values: np.ndarray
 
     def __post_init__(self):
-        values = _reals(self.values, "value")
-        if values.shape != (len(self.timestamps),):
+        values = _reals(self.values, "value", empty=True)
+        if values.size != len(self.timestamps):
             raise ValueError(
                 f"need one value per timestamp, got {values.size} values "
                 f"for {len(self.timestamps)} timestamps"

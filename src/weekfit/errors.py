@@ -1,5 +1,5 @@
 """Exception types, and the package's only rules for numbers and their bounds: ``_finite`` for
-overflow, ``_integer`` for whole numbers, and ``_real`` and ``_reals`` for real numbers.
+overflow, ``_integer`` for whole numbers, ``_real`` for real numbers and ``_reals`` for 1-D arrays of them.
 
 numpy is imported only inside ``_finite`` and ``_reals``, so loading a
 model (``params``) never imports it."""
@@ -70,8 +70,8 @@ def _real(value, what: str, lowest=-math.inf, strict=False, below=math.inf) -> f
     return number
 
 
-def _reals(values, what: str, lowest=0):
-    """A read-only float64 array of ``values`` if all are finite numbers >= ``lowest``, else ValueError."""
+def _reals(values, what: str, lowest=0, *, empty=False):
+    """A read-only 1-D float64 array of finite numbers >= ``lowest``, empty only if ``empty``, or ValueError."""
     import numpy as np
 
     kind = np.asarray(values).dtype.kind
@@ -84,6 +84,8 @@ def _reals(values, what: str, lowest=0):
     if isinstance(values, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, values)):
         raise ValueError(f"{what} must hold numbers, got a bool")  # numpy would read it as 0 or 1
     array = np.array(values, dtype=float)
+    if array.ndim != 1 or (array.size == 0 and not empty):
+        raise ValueError(f"{what} must be a {'' if empty else 'non-empty '}1-D sequence")
     invalid = ~(np.isfinite(array) & (array >= lowest))
     if invalid.any():
         _real(array[invalid][0], what, lowest)  # raises, naming the first invalid entry

@@ -121,8 +121,6 @@ class FitReport:
 
     def __post_init__(self):
         trace = _reals(self.objective_trace, "objective_trace")
-        if trace.ndim != 1 or trace.size == 0:
-            raise ValueError("objective_trace must be a non-empty 1-D sequence")
         if np.any(np.diff(trace) > 0.0):
             raise ValueError("objective_trace must be non-increasing")
         if self.stop_reason not in STOP_REASONS:

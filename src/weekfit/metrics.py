@@ -13,10 +13,6 @@ from .errors import ConstantActualError, _finite, _integer, _real, _reals
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
     a = _reals(actual, "actual", -math.inf)
     p = _reals(predicted, "predicted", -math.inf)
-    if a.ndim != 1 or p.ndim != 1:
-        raise ValueError("actual and predicted must be 1-D sequences")
-    if a.size == 0:
-        raise ValueError("metrics need at least one sample")
     if a.size != p.size:
         raise ValueError(f"length mismatch: {a.size} actual vs {p.size} predicted")
     return a, p

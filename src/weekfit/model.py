@@ -37,10 +37,7 @@ class TrafficSeries:
     start: int = 0
 
     def __post_init__(self):
-        values = _reals(self.values, "values")
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError("values must be a non-empty 1-D sequence")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _reals(self.values, "values"))
         object.__setattr__(self, "start", _integer(self.start, "start", 0))
 
     def __len__(self) -> int:
@@ -175,10 +172,9 @@ def predict_series(
     168-hour period because the model depends on time only through the
     week clock.
     """
-    if start_clock.hour != int(start_clock.hour):
-        raise ValueError(f"start hour must be integral, got {start_clock.hour!r}")
+    hour = _integer(start_clock.hour, "start_clock.hour", 0)
     first = (_integer(start_week, "start_week", 0) * DAYS_PER_WEEK + start_clock.day - 1) * HOURS_PER_DAY
-    return _repeat_week(_values_at(model, _SLOT_GRID), first + int(start_clock.hour), n_hours)
+    return _repeat_week(_values_at(model, _SLOT_GRID), first + hour, n_hours)
 
 
 @np.errstate(over="ignore")  # _finite refuses a noisy rate that overflows

@@ -81,7 +81,7 @@ def _fit_and_baseline(start):
 
 
 def _same_length(value):
-    return np.ones(np.shape(value))
+    return np.ones(np.shape(value) or 1)  # a scalar's partner is 1-D, so only the argument under test is bad
 
 
 # (names one of which the message must hold, call): a size past the int64
@@ -168,3 +168,14 @@ def test_a_list_of_reals_is_taken_whatever_the_size_of_its_ints(name, call):
     for other in ("1", True, np.True_, None):
         with pytest.raises(ValueError, match=rf"^{name} must hold numbers"):
             call([10**20, other])
+
+
+_EVERY_ARRAY = [*_ARRAYS, ("predicted", lambda v: mse([1.0, 1.0], v))]
+
+
+@pytest.mark.parametrize("name, call", _EVERY_ARRAY, ids=[name for name, _ in _EVERY_ARRAY])
+def test_an_array_argument_must_be_one_dimension_and_only_readings_may_be_empty(name, call):
+    for values in (5.0, [[1.0, 2.0]], *([] if name == "value" else [[]])):
+        with pytest.raises(ValueError, match=rf"^{name} must be a "):
+            call(values)
+    assert Readings([], []).values.shape == (0,)

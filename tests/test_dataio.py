@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 from zoneinfo import ZoneInfo
@@ -155,6 +156,28 @@ class TestLoadCsv:
     def test_bad_timestamp_names_line(self):
         with pytest.raises(CsvFormatError, match="line 2"):
             load_csv(io.StringIO("timestamp,value\nyesterday,3\n"))
+
+    @pytest.mark.parametrize("stamp, expected", [
+        ("2024-01-01", datetime(2024, 1, 1)),
+        ("2024-01-01T05", datetime(2024, 1, 1, 5)),
+        ("2024-01-01 05:30", datetime(2024, 1, 1, 5, 30)),
+        ("2024-01-01T05:30:00-05:00", datetime(2024, 1, 1, 5, 30, tzinfo=timezone(timedelta(hours=-5)))),
+    ])
+    def test_timestamp_forms_of_every_supported_python(self, stamp, expected):
+        assert load_csv(io.StringIO(f"timestamp,value\n{stamp},1\n")).timestamps == [expected]
+
+    @pytest.mark.parametrize("stamp, expected", [
+        ("2024-01-01T00:00:00Z", datetime(2024, 1, 1, tzinfo=timezone.utc)),
+        ("20240101T0000", datetime(2024, 1, 1)),
+    ])
+    def test_timestamp_forms_read_from_python_3_11(self, stamp, expected):
+        # before Python 3.11, datetime.fromisoformat reads only the forms that isoformat writes
+        stream = io.StringIO(f"timestamp,value\n{stamp},1\n")
+        if sys.version_info >= (3, 11):
+            assert load_csv(stream).timestamps == [expected]
+        else:
+            with pytest.raises(CsvFormatError, match="^line 2: unparseable timestamp"):
+                load_csv(stream)
 
     def test_bad_value(self):
         with pytest.raises(CsvFormatError, match="value"):

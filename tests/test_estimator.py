@@ -452,6 +452,17 @@ class TestStopReason:
         assert report.iterations == 0
         assert len(calls) > 2
 
+    def test_singular_lm_system_fails_like_a_nan_trial(self, guangzhou, monkeypatch):
+        data = generate_synthetic(guangzhou, 1, 300.0, seed=5)
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        report = fit(data)
+        assert report.stop_reason == "damping_exhausted"
+        assert report.objective_trace.size == 1
+
     def test_rejects_unknown_reason(self, guangzhou):
         with pytest.raises(ValueError, match="stop_reason"):
             FitReport(guangzhou, np.array([1.0]), "converged")

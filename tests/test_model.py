@@ -344,7 +344,7 @@ class TestPredictSeries:
         assert clocks[-1] == (2, 2, 3)
 
     def test_rejects_fractional_start(self, guangzhou):
-        with pytest.raises(ValueError, match="integral"):
+        with pytest.raises(ValueError, match="start_clock.hour must be an integer"):
             predict_series(guangzhou, 10, start_clock=WeekClock(1, 0.5))
         for start_week in (1.5, -1):
             with pytest.raises(ValueError, match="start_week"):

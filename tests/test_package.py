@@ -81,6 +81,11 @@ def test_star_import_binds_every_name():
     assert set(NAMES) <= set(dir(weekfit))
 
 
+def test_a_submodule_resolves_before_it_is_imported():
+    loaded = _loaded_after("import weekfit; assert weekfit.estimator.fit is weekfit.fit")
+    assert "weekfit.estimator" in loaded
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'weekfit' has no attribute 'no_such_name'"):
         weekfit.no_such_name  # noqa: B018
