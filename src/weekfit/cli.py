@@ -56,7 +56,7 @@ def _write_line_svg(ys, path, title: str) -> None:
         px = margin + (width - 2 * margin) * (i / max(n - 1, 1))
         py = height - margin - (height - 2 * margin) * ((y - lo) / span)
         points.append(f"{px:.2f},{py:.2f}")
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
             f'<rect width="{width}" height="{height}" fill="white"/>\n'

@@ -44,6 +44,9 @@ _LAST_HOUR = (datetime.max - SYNTH_EPOCH) // timedelta(hours=1)
 # so only one chunk's text and cells are alive at a time
 _CHUNK_CHARS = 1 << 16
 
+# the ingestion CSV's header: load_csv requires it and write_timestamp_csv writes it
+_HEADER = ["timestamp", "value"]
+
 
 @dataclass(frozen=True, eq=False)
 class Readings:
@@ -79,28 +82,26 @@ def load_csv(source) -> Readings:
     byte order mark, and a stream's text with one U+FEFF.  Failures name
     the 1-based line number of the offending row.
 
-    A quote-free ASCII file is read a column at a time; any other file, and
-    any file with an error, is read again from its start row by row through
-    the csv module.  The readings and the errors are identical either way.
-    A stream is read whole first and split into lines as a file opened with
-    ``newline=""`` is.
+    Either source becomes one seekable handle, a file opened with ``newline=""``
+    or a stream's whole text split into lines the same way.  A quote-free
+    ASCII file is read from it a column at a time; any other file, and any
+    file with an error, is read again from its start row by row through the
+    csv module.  The readings and the errors are identical either way.
     """
     if hasattr(source, "read"):
-        return _parse_csv(io.StringIO(source.read().removeprefix("\ufeff"), newline=""))
-    with open(source, newline="", encoding="utf-8-sig") as handle:
-        return _parse_csv(handle)
-
-
-def _parse_csv(handle) -> Readings:
-    readings = _parse_plain(handle)
-    if readings is not None:
-        return readings
-    handle.seek(0)  # a text file's decoder skips the byte order mark again
-    reader = csv.reader(handle)
-    try:
-        return _parse_rows(reader)
-    except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-        raise CsvFormatError(reader.line_num, str(exc)) from None
+        handle = io.StringIO(source.read().removeprefix("\ufeff"), newline="")
+    else:
+        handle = open(source, newline="", encoding="utf-8-sig")
+    with handle:
+        readings = _parse_plain(handle)
+        if readings is not None:
+            return readings
+        handle.seek(0)  # a text file's decoder skips the byte order mark again
+        reader = csv.reader(handle)
+        try:
+            return _parse_rows(reader)
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise CsvFormatError(reader.line_num, str(exc)) from None
 
 
 def _parse_plain(handle) -> Readings | None:
@@ -114,7 +115,7 @@ def _parse_plain(handle) -> Readings | None:
     """
     limit = csv.field_size_limit()
     header = _plain_cells(handle.readline(), limit)
-    if header is None or [cell.strip() for cell in header] != ["timestamp", "value"]:
+    if header is None or [cell.strip() for cell in header] != _HEADER:
         return None
     timestamps: list[datetime] = []
     values = array("d")
@@ -167,8 +168,8 @@ def _parse_rows(reader) -> Readings:
         header = next(reader)
     except StopIteration:
         raise CsvFormatError(1, "missing header row") from None
-    if [cell.strip() for cell in header] != ["timestamp", "value"]:
-        raise CsvFormatError(1, f"expected header 'timestamp,value', got {','.join(header)!r}")
+    if [cell.strip() for cell in header] != _HEADER:
+        raise CsvFormatError(1, f"expected header {','.join(_HEADER)!r}, got {','.join(header)!r}")
     timestamps: list[datetime] = []
     values: list[float] = []
     # bound once: this loop runs per row
@@ -231,16 +232,16 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     n = len(stamps)
     days = np.fromiter(map(datetime.toordinal, stamps), np.int64, n)
     hours = np.fromiter(map(operator.attrgetter("hour"), stamps), np.int64, n)
-    steps = np.diff(days * HOURS_PER_DAY + hours)
+    keys = days * HOURS_PER_DAY + hours
+    steps = np.diff(keys)
     gaps = np.flatnonzero((steps != 0) & (steps != 1))
     if gaps.size:
         before = stamps[gaps[0]].replace(minute=0, second=0, microsecond=0)
         raise GapError(f"missing hour {(before + timedelta(hours=1)).isoformat()}")
-    # np.bincount adds each hour's values one by one in sorted order, as a
-    # running sum would; np.add.reduceat and np.sum add pairwise and differ
-    # in the last bits
-    slots = np.concatenate(([0], np.cumsum(steps != 0)))
-    sums = _finite(np.bincount(slots, weights=values), "an hourly sum")
+    # steps are now 0 or 1, so a key less the first is its slot; np.bincount
+    # adds each slot's values one by one in sorted order, as a running sum
+    # would; np.add.reduceat and np.sum add pairwise and differ in the last bits
+    sums = _finite(np.bincount(keys - keys[0], weights=values), "an hourly sum")
     first = stamps[0]
     start = first.weekday() * HOURS_PER_DAY + first.hour
     return TrafficSeries(sums, start)
@@ -291,7 +292,7 @@ def _write_csv(path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     fixed name) holds a comma, quote or line end that it would quote.
     """
     lines = map(",".join, chain([header], rows))
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         # a join per 16,384 lines is as fast as one join, and never holds the whole text
         while chunk := list(islice(lines, 1 << 14)):
             handle.write("\r\n".join(chunk) + "\r\n")
@@ -322,7 +323,7 @@ def write_timestamp_csv(series: TrafficSeries, path) -> None:
     hours = np.datetime64(SYNTH_EPOCH, "h") + np.arange(series.start, series.end)
     stamps = np.datetime_as_string(hours, unit="s").tolist()
     rows = zip(stamps, map(repr, series.values.tolist()))
-    _write_csv(path, ["timestamp", "value"], rows)
+    _write_csv(path, _HEADER, rows)
 
 
 def write_trace_csv(trace: Sequence[float], path) -> None:

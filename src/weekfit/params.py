@@ -8,7 +8,7 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from types import MappingProxyType
 from typing import Mapping
@@ -151,7 +151,7 @@ def sigma_interval(params: ComponentParams) -> tuple[float, float]:
     return params.peak_time - sigma, params.peak_time + sigma
 
 
-_PARAM_FIELDS = ("peak_rate", "peak_time", "variance")
+_PARAM_FIELDS = tuple(field.name for field in fields(ComponentParams))
 
 
 def save_model(model: WeeklyModel, path) -> None:
@@ -160,18 +160,15 @@ def save_model(model: WeeklyModel, path) -> None:
     Floats serialize via ``repr`` (shortest round-trip form), so
     ``load_model(save_model(m)) == m`` exactly.
     """
-    payload = {
-        comp.value: {name: getattr(model[comp], name) for name in _PARAM_FIELDS}
-        for comp in ComponentId
-    }
-    with open(path, "w") as handle:
+    payload = {comp.value: asdict(model[comp]) for comp in ComponentId}
+    with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
 def load_model(path) -> WeeklyModel:
-    """Read a model parameter JSON file, rejecting unknown or missing keys."""
-    with open(path) as handle:
+    """Read a UTF-8 model JSON file (a leading byte order mark is skipped), rejecting unknown or missing keys."""
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             payload = json.load(handle)
         except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting

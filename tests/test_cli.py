@@ -216,6 +216,12 @@ class TestInspect:
         assert "19:36 - 0:45 (+1d)" in lines["ew"]
         assert "sunday" in lines["esu"]
 
+    def test_byte_order_mark_skipped(self, tmp_path, gz_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + gz_path.read_bytes())
+        assert run("inspect", "--model", path) == 0
+        assert "10:23 - 13:54" in capsys.readouterr().out
+
     def test_huge_variance_returns(self, tmp_path, capsys):
         components = dict(bundled_model("guangzhou").components)
         components[ComponentId.MW] = ComponentParams(4626.0, 12.14, 1e34)

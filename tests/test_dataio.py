@@ -488,6 +488,20 @@ class TestModelPersistence:
         save_model(model, path)
         assert load_model(path) == model
 
+    def test_file_bytes_pinned(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(WeeklyModel({c: ComponentParams(1.5, 12.0, 2.0) for c in ComponentId}), path)
+        entry = '{\n    "peak_rate": 1.5,\n    "peak_time": 12.0,\n    "variance": 2.0\n  }'
+        names = ["mw", "aw", "ew", "msa", "asa", "esa", "msu", "asu", "esu"]
+        body = ",\n".join(f'  "{name}": {entry}' for name in names)
+        assert path.read_bytes() == ("{\n" + body + "\n}\n").encode()
+
+    def test_leading_byte_order_mark_skipped(self, tmp_path, guangzhou):
+        path = tmp_path / "model.json"
+        save_model(guangzhou, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_model(path) == guangzhou
+
     def test_missing_component_named(self, tmp_path, guangzhou):
         path = tmp_path / "model.json"
         save_model(guangzhou, path)
