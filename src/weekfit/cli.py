@@ -7,8 +7,10 @@ time is measured here alone (``_timed``), never by the library, and shown
 only by ``--timing`` and in compare's train_s/predict_s columns.
 Only ``errors`` and ``params`` are imported here; ``dataio``, ``model``,
 ``estimator``, ``metrics`` and ``baselines`` are imported by the commands
-that call them. So ``synth`` and ``predict`` never load the fitting code,
-and ``inspect`` never loads numpy.
+that call them. So ``synth`` never loads the fitting code, and ``inspect``
+and ``predict`` never load numpy: ``predict`` writes the model's week
+profile from ``params._week_profile``, summed with ``math.fsum``, where the
+library's ``predict_series`` sums the same terms with numpy.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .params import (
     _MAX_HOURS,
     ComponentId,
     HOURS_PER_WEEK,
+    _week_profile,
+    _write_csv,
+    _write_series_csv,
     load_model,
     save_model,
     sigma_interval,
@@ -132,15 +137,16 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    from .dataio import write_series_csv
-    from .model import predict_series
-
-    model = load_model(args.model)
-    series = predict_series(model, args.weeks * HOURS_PER_WEEK)
-    write_series_csv(series, args.out)
-    print(f"wrote {args.out} ({len(series)} hours)")
+    profile = _week_profile(load_model(args.model))
+    try:  # the whole horizon at once, so one too large for memory is refused before any row is written
+        values = profile * args.weeks
+    except MemoryError:  # a bare MemoryError has no message
+        hours = args.weeks * HOURS_PER_WEEK
+        raise WeekfitError(f"--weeks {args.weeks}: {hours} hours are too many to hold in memory") from None
+    _write_series_csv(values, 0, args.out)
+    print(f"wrote {args.out} ({len(values)} hours)")
     if args.svg:
-        _write_line_svg(series.values, args.svg, "predicted traffic")
+        _write_line_svg(values, args.svg, "predicted traffic")
         print(f"wrote {args.svg}")
     return 0
 
@@ -198,7 +204,7 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_compare(args) -> int:
     from .baselines import BaselineKind, baseline_predict
-    from .dataio import _write_csv, split
+    from .dataio import split
     from .estimator import fit
 
     series, spec = _load_series(args.input, args.train_weeks)

@@ -9,8 +9,8 @@ import operator
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from itertools import chain, islice
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .errors import (
     _reals,
 )
 from .model import TrafficSeries
+from .params import _write_csv, _write_series_csv  # numpy-free, so weekfit predict writes with them too
 # the model file is read and written in params.py, which needs no numpy; its
 # functions, types and checks are also importable from here, as weekfit.dataio.<name>
 from .errors import ModelFormatError, _real
@@ -285,28 +286,9 @@ def split(series: TrafficSeries, spec: SplitSpec | None = None) -> tuple[Traffic
     return train, series.window(len(train), len(series))
 
 
-def _write_csv(path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write a header row and then ``rows`` of strings, with the csv module's CRLF line ends.
-
-    The bytes are ``csv.writer``'s: no cell (a number, an ISO timestamp or a
-    fixed name) holds a comma, quote or line end that it would quote.
-    """
-    lines = map(",".join, chain([header], rows))
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        # a join per 16,384 lines is as fast as one join, and never holds the whole text
-        while chunk := list(islice(lines, 1 << 14)):
-            handle.write("\r\n".join(chunk) + "\r\n")
-
-
 def write_series_csv(series: TrafficSeries, path) -> None:
-    """Write a series as ``week,day_k,hour,value`` rows."""
-    if series.end > np.iinfo(np.int64).max:  # np.arange would count in float64
-        raise WeekfitError(f"hour {series.end - 1} is past {2**63 - 2}, the last in a series CSV")
-    hours = np.arange(series.start, series.end)
-    days = hours % HOURS_PER_WEEK // HOURS_PER_DAY + 1
-    columns = (hours // HOURS_PER_WEEK, days, hours % HOURS_PER_DAY)
-    rows = zip(*(map(str, c.tolist()) for c in columns), map(repr, series.values.tolist()))
-    _write_csv(path, ["week", "day_k", "hour", "value"], rows)
+    """Write a series as ``week,day_k,hour,value`` rows, with ``weekfit predict``'s writer."""
+    _write_series_csv(series.values.tolist(), series.start, path)
 
 
 def write_timestamp_csv(series: TrafficSeries, path) -> None:

@@ -1,8 +1,8 @@
 """Exception types, and the package's only rules for numbers and their bounds: ``_finite`` for
 overflow, ``_integer`` for whole numbers, ``_real`` for real numbers and ``_reals`` for 1-D arrays of them.
 
-numpy is imported only inside ``_finite`` and ``_reals``, so loading a
-model (``params``) never imports it."""
+numpy is imported only inside ``_reals`` and in ``_finite`` for an array, so loading a
+model or computing its week profile (``params``) never imports it."""
 
 import math
 import numbers
@@ -37,10 +37,16 @@ class ConstantActualError(WeekfitError):
 
 
 def _finite(values, what: str):
-    """``values`` unchanged; an entry past the float range (traffic too large) raises WeekfitError."""
-    import numpy as np
+    """``values`` unchanged; an entry past the float range (traffic too large) raises WeekfitError.
 
-    if not np.isfinite(values).all():
+    A Python float is checked without importing numpy."""
+    if isinstance(values, float):
+        finite = math.isfinite(values)
+    else:
+        import numpy as np
+
+        finite = np.isfinite(values).all()
+    if not finite:
         raise WeekfitError(f"{what} overflows the float range; the traffic values are too large")
     return values
 

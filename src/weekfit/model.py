@@ -19,8 +19,8 @@ from .errors import SeriesTooShortError, _finite, _integer, _real, _reals
 # the parameters and the week layout are defined in params.py, which needs no
 # numpy; every one of them is also importable from here, as weekfit.model.<name>
 from .params import (
-    _CATEGORY_DAYS, _COMPONENT_LAYOUT, _MAX_HOURS, ComponentId, ComponentParams, DayCategory, DayPeriod,
-    DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeekClock, WeeklyModel, sigma_interval, week_clock_at,
+    _CATEGORY_DAYS, _COMPONENT_LAYOUT, _EXP_FLOOR, _MAX_HOURS, _TERMS, ComponentId, ComponentParams, DayCategory,
+    DayPeriod, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeekClock, WeeklyModel, sigma_interval, week_clock_at,
 )
 
 
@@ -68,7 +68,10 @@ def _require_full_week(data: TrafficSeries) -> None:
 
 def _week_slots(start: int, n_hours: int) -> np.ndarray:
     """Week slot (0 = Monday 00:00 .. 167) of ``n_hours`` hours from absolute hour ``start``."""
-    return (start % HOURS_PER_WEEK + np.arange(n_hours)) % HOURS_PER_WEEK
+    slots = (start % HOURS_PER_WEEK + np.arange(n_hours)) % HOURS_PER_WEEK
+    if slots.size != n_hours:  # np.arange(n) can be empty near 2**63 (numpy 2.4: n >= 2**63 - 512)
+        raise MemoryError(f"{n_hours} hours are too many to hold in memory")
+    return slots
 
 
 @np.errstate(over="ignore")  # a W past the float range is inf: baselines never read it, fit refuses its J
@@ -87,28 +90,9 @@ def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries
     return TrafficSeries(profile[_week_slots(start, _integer(n_hours, "n_hours", 1, _MAX_HOURS))], start)
 
 
-# One Gaussian term is evaluated per (component, covered day, week copy).
-# Weekday components cover days 1-5, Saturday/Sunday components one day
-# each, and every copy is repeated at -1/0/+1 weeks: 63 terms in total,
-# laid out in canonical component order with day then week ascending so
-# summation order is fixed.  A term's shift is 24*n_d + 168*n_w, and its
-# offset in absolute hours is (24*day + hour) - shift - peak_time.
-def _term_geometry() -> tuple[np.ndarray, np.ndarray]:
-    component, shift = [], []
-    for index, comp in enumerate(ComponentId):
-        for day in comp.category.day_numbers:
-            for week in (-1, 0, 1):
-                component.append(index)
-                shift.append(float(HOURS_PER_DAY * day + HOURS_PER_WEEK * week))
-    return np.asarray(component, dtype=np.intp), np.asarray(shift)
-
-
-_TERM_COMPONENT, _TERM_SHIFT = _term_geometry()
-
-# Exponents below this put exp() on a scalar slow path (results heading
-# into the subnormal range) at ~10x the cost; clamping far-tail terms here
-# changes only values below 1e-304.
-_EXP_FLOOR = -700.0
+# params._TERMS, the 63 terms' layout, as a component index and a shift per term
+_TERM_COMPONENT = np.array([index for index, _ in _TERMS], dtype=np.intp)
+_TERM_SHIFT = np.array([shift for _, shift in _TERMS])
 
 
 def _model_arrays(model: WeeklyModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

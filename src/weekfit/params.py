@@ -1,19 +1,21 @@
 """The model's 27 parameters (a peak rate, peak time and variance per component), the week they
-are laid out on, and the model JSON file.  None of it needs array maths, so this module never
-imports numpy: a process that only loads, saves or inspects a model starts without it."""
+are laid out on, the model JSON file, the model's rate at each of the 168 week slots, and the
+series CSV that ``weekfit predict`` writes.  None of it needs array maths, so this module never
+imports numpy: a process that only loads, saves, inspects or predicts from a model starts
+without it.  ``model`` evaluates the same 63-term layout with numpy for the library."""
 
 from __future__ import annotations
 
 import enum
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
+from itertools import chain, count, islice, product
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .errors import ModelFormatError, WeekfitError, _integer, _real
+from .errors import ModelFormatError, WeekfitError, _finite, _integer, _real
 
 HOURS_PER_DAY = 24
 DAYS_PER_WEEK = 7
@@ -77,7 +79,7 @@ class ComponentId(enum.Enum):
 
 
 # (category, period) of each component, following the canonical order above.
-_COMPONENT_LAYOUT = dict(zip(ComponentId, itertools.product(DayCategory, DayPeriod)))
+_COMPONENT_LAYOUT = dict(zip(ComponentId, product(DayCategory, DayPeriod)))
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,51 @@ def sigma_interval(params: ComponentParams) -> tuple[float, float]:
     return params.peak_time - sigma, params.peak_time + sigma
 
 
+# One Gaussian term is evaluated per (component, covered day, week copy).
+# Weekday components cover days 1-5, Saturday/Sunday components one day
+# each, and every copy is repeated at -1/0/+1 weeks: 63 terms in total,
+# laid out in canonical component order with day then week ascending so
+# summation order is fixed.  A term is (component index, shift), its shift
+# 24*n_d + 168*n_w, and its offset in absolute hours is
+# (24*day + hour) - shift - peak_time.
+_TERMS = tuple(
+    (index, float(HOURS_PER_DAY * day + HOURS_PER_WEEK * week))
+    for index, comp in enumerate(ComponentId)
+    for day in comp.category.day_numbers
+    for week in (-1, 0, 1)
+)
+
+# Exponents below this put exp() on a scalar slow path (results heading
+# into the subnormal range) at ~10x the cost; clamping far-tail terms here
+# changes only values below 1e-304.
+_EXP_FLOOR = -700.0
+
+
+def _week_profile(model: WeeklyModel) -> list[float]:
+    """The modeled rate at each of the 168 week slots (0 = Monday 00:00), without numpy.
+
+    Each slot's 63 terms are computed as ``model._gaussian_terms`` computes
+    them, but with ``math.exp``, and summed with ``math.fsum``, so the rates
+    match ``predict_series`` to about 1e-16 relative and do not depend on a
+    BLAS kernel.  A rate past the float range raises WeekfitError.
+    """
+    params = [model[comp] for comp in ComponentId]
+    terms = [(params[i].peak_rate, params[i].peak_time, -2.0 * params[i].variance, shift) for i, shift in _TERMS]
+    profile = []
+    for slot in range(HOURS_PER_WEEK):
+        base = float(HOURS_PER_DAY + slot)  # 24*day + hour
+        rates = []
+        for rate, time, scale, shift in terms:
+            offset = base - shift - time
+            rates.append(rate * math.exp(max(offset * offset / scale, _EXP_FLOOR)))
+        try:
+            total = math.fsum(rates)
+        except OverflowError:  # fsum's exact sum left the float range
+            total = math.inf
+        profile.append(_finite(total, "a modeled rate"))
+    return profile
+
+
 _PARAM_FIELDS = tuple(field.name for field in fields(ComponentParams))
 
 
@@ -212,3 +259,32 @@ def bundled_model(name: str) -> WeeklyModel:
         raise WeekfitError(f"no bundled model named {name!r}")
     with resources.as_file(fixture) as path:
         return load_model(path)
+
+
+def _write_csv(path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header row and then ``rows`` of strings, with the csv module's CRLF line ends.
+
+    The bytes are ``csv.writer``'s: no cell (a number, an ISO timestamp or a
+    fixed name) holds a comma, quote or line end that it would quote.
+    """
+    lines = map(",".join, chain([header], rows))
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        # a join per 16,384 lines is as fast as one join, and never holds the whole text
+        while chunk := list(islice(lines, 1 << 14)):
+            handle.write("\r\n".join(chunk) + "\r\n")
+
+
+def _write_series_csv(values: Sequence[float], start: int, path) -> None:
+    """Write hourly ``values`` from absolute hour ``start`` as ``week,day_k,hour,value`` rows.
+
+    Hour counters are int64 throughout the package, so a series that runs
+    past hour 2**63 - 2 raises WeekfitError before the file is opened.
+    """
+    end = start + len(values)
+    if end > 2**63 - 1:
+        raise WeekfitError(f"hour {end - 1} is past {2**63 - 2}, the last in a series CSV")
+    rows = (
+        (str(h // HOURS_PER_WEEK), str(h % HOURS_PER_WEEK // HOURS_PER_DAY + 1), str(h % HOURS_PER_DAY), repr(v))
+        for h, v in zip(count(start), values)
+    )
+    _write_csv(path, ["week", "day_k", "hour", "value"], rows)

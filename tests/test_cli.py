@@ -20,16 +20,20 @@ from weekfit import (
     ComponentParams,
     EvalReport,
     SplitSpec,
+    WeekfitError,
     WeeklyModel,
     aggregate_hourly,
     baseline_predict,
     bundled_model,
+    generate_synthetic,
     load_csv,
     load_model,
+    predict_series,
     save_model,
     split,
 )
 from weekfit.cli import format_clock, main
+from weekfit.params import _week_profile
 
 
 @pytest.fixture()
@@ -276,6 +280,23 @@ class TestCompare:
             assert [float(cell) for cell in row[1:5]] == [expected.mse, expected.rmse, expected.mae, expected.r2]
 
 
+class TestPredict:
+    @pytest.mark.parametrize("name", ["guangzhou", "milan"])
+    def test_rows_are_the_week_profile_repeated(self, tmp_path, capsys, name):
+        model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+        save_model(bundled_model(name), model)
+        assert run("predict", "--model", model, "--weeks", 3, "--out", pred) == 0
+        assert capsys.readouterr().out == f"wrote {pred} (504 hours)\n"
+        with open(pred, newline="") as handle:
+            header, *rows = csv.reader(handle)
+        assert header == ["week", "day_k", "hour", "value"]
+        assert [tuple(map(int, row[:3])) for row in rows] == [
+            (h // 168, h % 168 // 24 + 1, h % 24) for h in range(3 * HOURS_PER_WEEK)
+        ]
+        # repr round-trips a float exactly, so equal lists are equal bits
+        assert [float(row[3]) for row in rows] == _week_profile(bundled_model(name)) * 3
+
+
 class TestErrorPaths:
     def test_missing_input_file(self, gz_path):
         assert run("evaluate", "--model", gz_path, "--input", "/no/such.csv") == 1
@@ -379,6 +400,30 @@ class TestErrorPaths:
         assert run(command, "--model", gz_path, "--weeks", 10**12,
                    "--out", tmp_path / "out.csv") == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    # np.arange(n) comes back empty for n >= 2**63 - 512 (numpy 2.4), and a
+    # bare MemoryError has no message: each refusal names the size instead
+    PAST_MEMORY = {
+        "predict_series": lambda gz, out: predict_series(load_model(gz), 2**63 - 168),
+        "generate_synthetic": lambda gz, out: generate_synthetic(load_model(gz), 54901024028897474, 0, 0),
+        "baseline_predict": lambda gz, out: baseline_predict(
+            "seasonal_naive", predict_series(load_model(gz), HOURS_PER_WEEK), 2**63 - 200),
+        "synth": lambda gz, out: run("synth", "--model", gz, "--weeks", 54901024028897474, "--out", out),
+        "predict": lambda gz, out: run("predict", "--model", gz, "--weeks", 54901024028897474, "--out", out),
+        "predict-1e12-weeks": lambda gz, out: run("predict", "--model", gz, "--weeks", 10**12, "--out", out),
+    }
+
+    @pytest.mark.parametrize("name", PAST_MEMORY)
+    def test_horizon_past_memory_names_its_size(self, tmp_path, gz_path, capsys, name):
+        try:
+            status = self.PAST_MEMORY[name](gz_path, tmp_path / "out.csv")
+        except (ValueError, WeekfitError, MemoryError) as exc:
+            message = str(exc)
+        else:
+            assert status == 1
+            message = capsys.readouterr().err
+        assert "hours are too many to hold in memory" in message and "non-empty" not in message
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -27,6 +27,7 @@ from weekfit.model import (
     _TERM_SHIFT,
     _gaussian_terms,
 )
+from weekfit.params import _week_profile
 
 from conftest import random_model, series_csv_clocks
 from oracles import naive_weekly_value
@@ -467,3 +468,15 @@ def test_slot_kernel_keeps_the_broadcast_formula_bits():
         assert np.array_equal(got_offsets, o)
         assert np.array_equal(got_factors, factors)
         assert np.array_equal(got_values, factors @ rates[_TERM_COMPONENT])
+
+
+def test_pure_python_week_profile_matches_the_numpy_kernel(guangzhou, milan):
+    # math.exp and math.fsum in place of numpy's exp and a BLAS sum: the
+    # same 63 terms, so the rates agree to a few units in the last place
+    rng = np.random.default_rng(29)
+    for model in [guangzhou, milan, *(random_model(rng) for _ in range(20))]:
+        profile = _week_profile(model)
+        naive = [naive_weekly_value(model, slot // 24 + 1, float(slot % 24)) for slot in range(168)]
+        assert profile == pytest.approx(predict_series(model, 168).values.tolist(), rel=1e-13, abs=0)
+        assert profile == pytest.approx(naive, rel=1e-13, abs=0)
+    assert _week_profile(zero_model()) == [0.0] * 168

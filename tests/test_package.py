@@ -1,6 +1,6 @@
 """The package's exports: every public name resolves, and a process loads only the submodules it calls.
 
-Reading, saving and printing a model loads ``errors`` and ``params`` alone, and no numpy.
+Reading, saving, printing and predicting from a model loads ``errors`` and ``params`` alone, and no numpy.
 """
 
 import os
@@ -97,9 +97,12 @@ def test_bundled_model_loads_no_fitting_code():
     assert loaded == ["weekfit", "weekfit.errors", "weekfit.params"]
 
 
-def test_inspect_loads_no_numpy():
+@pytest.mark.parametrize("command", [["inspect"], ["predict", "--weeks", "2", "--out", "pred.csv"]],
+                         ids=["inspect", "predict"])
+def test_command_loads_no_numpy(command, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     model = SRC / "weekfit" / "fixtures" / "milan.json"
-    argv = ["inspect", "--model", str(model)]
+    argv = [*command, "--model", str(model)]
     loaded = _loaded_after(f"from weekfit.cli import main; assert main({argv!r}) == 0")
     assert "numpy" not in loaded, loaded
 
