@@ -11,11 +11,19 @@ that call them. So ``synth`` never loads the fitting code, and ``inspect``
 and ``predict`` never load numpy: ``predict`` writes the model's week
 profile from ``params._week_profile``, summed with ``math.fsum``, where the
 library's ``predict_series`` sums the same terms with numpy.
+A process enters through ``_entry`` (``python -m weekfit.cli`` and the
+``weekfit`` script), which runs ``main`` with the cyclic garbage collector
+off and freezes the heap before it exits: a run makes few reference
+cycles, so the collector's passes over numpy's import and the
+interpreter's final pass over every tracked object are wasted time.
+``main`` itself leaves the collector alone, for callers in a process
+of their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -324,5 +332,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def _entry() -> None:
+    """Run ``main`` on ``sys.argv`` as a whole process: collector off, heap frozen at exit."""
+    gc.disable()
+    status = main()
+    gc.freeze()  # the interpreter's last collections at exit skip frozen objects
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _entry()

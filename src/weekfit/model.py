@@ -68,10 +68,13 @@ def _require_full_week(data: TrafficSeries) -> None:
 
 def _week_slots(start: int, n_hours: int) -> np.ndarray:
     """Week slot (0 = Monday 00:00 .. 167) of ``n_hours`` hours from absolute hour ``start``."""
-    slots = (start % HOURS_PER_WEEK + np.arange(n_hours)) % HOURS_PER_WEEK
-    if slots.size != n_hours:  # np.arange(n) can be empty near 2**63 (numpy 2.4: n >= 2**63 - 512)
-        raise MemoryError(f"{n_hours} hours are too many to hold in memory")
-    return slots
+    try:
+        hours = np.arange(n_hours)
+        if hours.size != n_hours:  # np.arange(n) can be empty near 2**63 (numpy 2.4: n >= 2**63 - 512)
+            raise ValueError
+    except ValueError:  # also numpy's refusal of n * 8 bytes past the address space ("array is too big")
+        raise MemoryError(f"{n_hours} hours are too many to hold in memory") from None
+    return (start % HOURS_PER_WEEK + hours) % HOURS_PER_WEEK
 
 
 @np.errstate(over="ignore")  # a W past the float range is inf: baselines never read it, fit refuses its J

@@ -1,7 +1,11 @@
 import csv
+import gc
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 from datetime import datetime, timedelta, timezone
@@ -32,8 +36,11 @@ from weekfit import (
     save_model,
     split,
 )
+import weekfit
 from weekfit.cli import format_clock, main
 from weekfit.params import _week_profile
+
+SRC = Path(weekfit.__file__).parent.parent
 
 
 @pytest.fixture()
@@ -401,14 +408,19 @@ class TestErrorPaths:
                    "--out", tmp_path / "out.csv") == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    # np.arange(n) comes back empty for n >= 2**63 - 512 (numpy 2.4), and a
-    # bare MemoryError has no message: each refusal names the size instead
+    # np.arange(n) refuses n * 8 bytes past the address space with a
+    # ValueError ("array is too big"), comes back empty for n >= 2**63 - 512
+    # (numpy 2.4), and a bare MemoryError has no message: each refusal names
+    # the size instead
     PAST_MEMORY = {
         "predict_series": lambda gz, out: predict_series(load_model(gz), 2**63 - 168),
+        "predict_series-2**62+1": lambda gz, out: predict_series(load_model(gz), 2**62 + 1),
+        "predict_series-2**63-600": lambda gz, out: predict_series(load_model(gz), 2**63 - 600),
         "generate_synthetic": lambda gz, out: generate_synthetic(load_model(gz), 54901024028897474, 0, 0),
         "baseline_predict": lambda gz, out: baseline_predict(
             "seasonal_naive", predict_series(load_model(gz), HOURS_PER_WEEK), 2**63 - 200),
         "synth": lambda gz, out: run("synth", "--model", gz, "--weeks", 54901024028897474, "--out", out),
+        "synth-2**62-weeks": lambda gz, out: run("synth", "--model", gz, "--weeks", 27450512014448737, "--out", out),
         "predict": lambda gz, out: run("predict", "--model", gz, "--weeks", 54901024028897474, "--out", out),
         "predict-1e12-weeks": lambda gz, out: run("predict", "--model", gz, "--weeks", 10**12, "--out", out),
     }
@@ -526,6 +538,81 @@ class TestErrorPaths:
                 for values in (as_json, as_text):
                     assert values["elapsed_train_seconds"] == 0.0
                     assert values["elapsed_predict_seconds"] >= 0.0
+
+
+def python(*args, cwd) -> subprocess.CompletedProcess:
+    """A fresh interpreter on ``args`` with this checkout's package first on its path."""
+    return subprocess.run([sys.executable, *map(str, args)], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+
+
+class TestProcessEntry:
+    """``python -m weekfit.cli`` and the ``weekfit`` script enter through ``cli._entry``."""
+
+    def test_inspect_prints_what_main_prints(self, tmp_path, gz_path, capsys):
+        done = python("-m", "weekfit.cli", "inspect", "--model", gz_path, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run("inspect", "--model", gz_path) == 0
+        assert done.stdout == capsys.readouterr().out  # nothing is lost at exit
+
+    @pytest.mark.parametrize("argv, stderr", [
+        (["inspect", "--model", "missing.json"], "error: "),
+        (["synth", "--model", "missing.json", "--weeks", "0", "--out", "out.csv"], "usage: "),
+    ])
+    def test_input_errors_exit_one(self, tmp_path, argv, stderr):
+        done = python("-m", "weekfit.cli", *argv, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith(stderr)
+
+    def test_entry_runs_main_with_the_collector_off_and_the_heap_frozen(self, tmp_path, gz_path):
+        probe = (
+            "import gc, sys\n"
+            "from weekfit.cli import _entry\n"
+            f"sys.argv = ['weekfit', 'inspect', '--model', {str(gz_path)!r}]\n"
+            "try:\n"
+            "    _entry()\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+        )
+        done = python("-c", probe, cwd=tmp_path)
+        assert done.stderr == "0 False True\n"
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_alone(self, gz_path, capsys, enabled):
+        was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert run("inspect", "--model", gz_path) == 0
+            assert run("inspect", "--model", "missing.json") == 1
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_a_run_makes_few_reference_cycles(self, tmp_path):
+        # with the collector off, a cycle made on each solver iteration or
+        # each row would be held until exit: compare on 52 weeks, then a fit
+        # of flat traffic that runs all 5,000 iterations, leave about 1,600
+        # cyclic objects, most of them made by imports
+        probe = (
+            "import gc\n"
+            "gc.disable()\n"
+            "import numpy as np\n"
+            "from weekfit import TrafficSeries, bundled_model, save_model, write_timestamp_csv\n"
+            "from weekfit.cli import main\n"
+            "save_model(bundled_model('guangzhou'), 'gz.json')\n"
+            "flat = 37.5 * (1 + 0.001 * np.random.default_rng(0).standard_normal(52 * 168))\n"
+            "write_timestamp_csv(TrafficSeries(flat), 'flat.csv')\n"
+            "assert main(['synth', '--model', 'gz.json', '--weeks', '52', '--noise', '200', '--out', 'd.csv']) == 0\n"
+            "assert main(['compare', '--input', 'd.csv', '--train-weeks', '50']) == 0\n"
+            "assert main(['fit', '--input', 'flat.csv', '--train-weeks', '52', '--out', 'm.json',\n"
+            "             '--max-iterations', '5000', '--tolerance', '1e-15']) == 0\n"
+            "print(gc.collect())\n"
+        )
+        done = python("-c", probe, cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        *printed, cycles = done.stdout.splitlines()
+        assert "in 5000 iterations" in printed[-2]
+        assert int(cycles) < 5000
 
 
 # Fuzzing: any input ends in exit 0 (a result) or 1 (an input error), in bounded
