@@ -2,18 +2,21 @@
 are laid out on, the model JSON file, the model's rate at each of the 168 week slots, and the
 series CSV that ``weekfit predict`` writes.  None of it needs array maths, so this module never
 imports numpy: a process that only loads, saves, inspects or predicts from a model starts
-without it.  ``model`` evaluates the same 63-term layout with numpy for the library."""
+without it.  ``model`` evaluates the same 63-term layout with numpy for the library.
+
+The same process imports no more of the standard library than it runs: the three value types
+are plain frozen classes built on ``_Frozen``, not dataclasses (whose import pulls in
+``inspect``, ``ast`` and ``dis``), the annotations need no ``typing``, and
+``importlib.resources`` is imported only by ``bundled_model``."""
 
 from __future__ import annotations
 
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, fields
-from importlib import resources
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, count, islice, product
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
 
 from .errors import ModelFormatError, WeekfitError, _finite, _integer, _real
 
@@ -82,8 +85,42 @@ class ComponentId(enum.Enum):
 _COMPONENT_LAYOUT = dict(zip(ComponentId, product(DayCategory, DayPeriod)))
 
 
-@dataclass(frozen=True)
-class ComponentParams:
+class _Frozen:
+    """A frozen value built from its ``__slots__``: it compares, hashes, prints, pickles and copies
+    as the tuple of its fields, and refuses assignment and ``del``."""
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # rebuilt through __init__, which sets what __setattr__ refuses
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ComponentParams(_Frozen):
     """Shape of one traffic component.
 
     peak_rate is the component maximum in messages/hour, peak_time the
@@ -91,49 +128,48 @@ class ComponentParams:
     widely users spread their activity around that preference.
     """
 
-    peak_rate: float
-    peak_time: float
-    variance: float
+    __slots__ = __match_args__ = ("peak_rate", "peak_time", "variance")
 
-    def __post_init__(self):
-        object.__setattr__(self, "peak_rate", _real(self.peak_rate, "peak_rate", 0))
-        object.__setattr__(self, "peak_time", _real(self.peak_time, "peak_time", 0, below=HOURS_PER_DAY))
-        object.__setattr__(self, "variance", _real(self.variance, "variance", 0, strict=True))
+    def __init__(self, peak_rate: float, peak_time: float, variance: float):
+        self._fill(
+            _real(peak_rate, "peak_rate", 0),
+            _real(peak_time, "peak_time", 0, below=HOURS_PER_DAY),
+            _real(variance, "variance", 0, strict=True),
+        )
 
 
-@dataclass(frozen=True)
-class WeeklyModel:
+class WeeklyModel(_Frozen):
     """Complete parameter set: one ComponentParams per ComponentId."""
 
-    components: Mapping[ComponentId, ComponentParams]
+    __slots__ = __match_args__ = ("components",)
 
-    def __post_init__(self):
-        unknown = [key for key in self.components if not isinstance(key, ComponentId)]
+    def __init__(self, components: Mapping[ComponentId, ComponentParams]):
+        unknown = [key for key in components if not isinstance(key, ComponentId)]
         if unknown:
             raise ValueError(f"unknown component keys: {unknown!r}")
-        missing = [c.value for c in ComponentId if c not in self.components]
+        missing = [c.value for c in ComponentId if c not in components]
         if missing:
             raise ValueError(f"missing components: {', '.join(missing)}")
-        ordered = {c: self.components[c] for c in ComponentId}
-        object.__setattr__(self, "components", MappingProxyType(ordered))
+        self._fill(MappingProxyType({c: components[c] for c in ComponentId}))
 
     def __getitem__(self, component: ComponentId) -> ComponentParams:
         return self.components[component]
 
-    def __hash__(self):  # MappingProxyType itself is unhashable
-        return hash(tuple(self.components[c] for c in ComponentId))
+    # MappingProxyType itself can be neither hashed nor pickled
+    def __hash__(self):
+        return hash(tuple(self.components.values()))
+
+    def __reduce__(self):
+        return WeeklyModel, (dict(self.components),)
 
 
-@dataclass(frozen=True)
-class WeekClock:
+class WeekClock(_Frozen):
     """Position within a week: day index (1 = Monday .. 7 = Sunday) and hour of day."""
 
-    day: int
-    hour: float
+    __slots__ = __match_args__ = ("day", "hour")
 
-    def __post_init__(self):
-        object.__setattr__(self, "day", _integer(self.day, "day", 1, DAYS_PER_WEEK))
-        object.__setattr__(self, "hour", _real(self.hour, "hour", 0, below=HOURS_PER_DAY))
+    def __init__(self, day: int, hour: float):
+        self._fill(_integer(day, "day", 1, DAYS_PER_WEEK), _real(hour, "hour", 0, below=HOURS_PER_DAY))
 
 
 def week_clock_at(hour_index: int) -> tuple[int, WeekClock]:
@@ -198,7 +234,7 @@ def _week_profile(model: WeeklyModel) -> list[float]:
     return profile
 
 
-_PARAM_FIELDS = tuple(field.name for field in fields(ComponentParams))
+_PARAM_FIELDS = ComponentParams.__slots__
 
 
 def save_model(model: WeeklyModel, path) -> None:
@@ -207,17 +243,30 @@ def save_model(model: WeeklyModel, path) -> None:
     Floats serialize via ``repr`` (shortest round-trip form), so
     ``load_model(save_model(m)) == m`` exactly.
     """
-    payload = {comp.value: asdict(model[comp]) for comp in ComponentId}
+    payload = {comp.value: dict(zip(_PARAM_FIELDS, model[comp]._fields())) for comp in ComponentId}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict; a key that appears twice raises ModelFormatError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ModelFormatError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_model(path) -> WeeklyModel:
-    """Read a UTF-8 model JSON file (a leading byte order mark is skipped), rejecting unknown or missing keys."""
+    """Read a UTF-8 model JSON file (a leading byte order mark is skipped).
+
+    Unknown, missing and repeated keys are refused with ModelFormatError.
+    """
     with open(path, encoding="utf-8-sig") as handle:
         try:
-            payload = json.load(handle)
+            payload = json.load(handle, object_pairs_hook=_unique_keys)
         except (ValueError, RecursionError) as exc:  # RecursionError: deep nesting
             raise ModelFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -254,6 +303,8 @@ def bundled_model(name: str) -> WeeklyModel:
     Available names: ``guangzhou`` and ``milan`` (fitted to SMS traffic
     from those cities).
     """
+    from importlib import resources  # only here: it imports pathlib, tempfile and typing
+
     fixture = resources.files("weekfit") / "fixtures" / f"{name}.json"
     if not fixture.is_file():
         raise WeekfitError(f"no bundled model named {name!r}")

@@ -356,9 +356,13 @@ class TestErrorPaths:
              "component 'mw': peak_rate must be a number"),
             # the fields are checked before their values
             ('{"mw": {"peak_rate": "1"}}', "component 'mw' is missing 'peak_time'"),
+            # a repeated key is refused before any other check, at either level
+            ('{"mw": 1, "xyz": 2, "mw": 3}', "repeated key 'mw'"),
+            ('{"mw": {"peak_rate": 1, "peak_rate": 2}}', "repeated key 'peak_rate'"),
         ],
         ids=["integer-beyond-float", "deep-nesting", "array", "component-not-object",
-             "string-parameter", "boolean-parameter", "missing-field-before-bad-value"],
+             "string-parameter", "boolean-parameter", "missing-field-before-bad-value",
+             "repeated-component", "repeated-field"],
     )
     def test_malformed_model_json(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"

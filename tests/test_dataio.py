@@ -529,6 +529,21 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError, match="skew"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "key, repeat",
+        [("mw", lambda text: text[:text.rindex("}")] + ', "mw": {"peak_rate": 1, "peak_time": 1, "variance": 1}}'),
+         ("variance", lambda text: text.replace('"variance": 8.59', '"variance": 8.59, "variance": 1'))],
+        ids=["component", "field"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, milan, key, repeat):
+        path = tmp_path / "model.json"
+        save_model(milan, path)
+        text = repeat(path.read_text())
+        assert json.loads(text) != json.loads(path.read_text())  # json alone lets the last copy win
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=f"^repeated key '{key}'$"):
+            load_model(path)
+
     def test_non_finite_rejected(self, tmp_path, guangzhou):
         path = tmp_path / "model.json"
         save_model(guangzhou, path)

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -177,6 +179,67 @@ class TestWeekClock:
         for hour_index in (1.5, -1):
             with pytest.raises(ValueError, match="hour_index"):
                 week_clock_at(hour_index)
+
+
+class TestValueTypes:
+    """ComponentParams, WeeklyModel and WeekClock are frozen values: they compare, hash, print,
+    pickle and copy by their fields."""
+
+    @pytest.fixture()
+    def values(self, milan):
+        return [milan, milan[ComponentId.MW], WeekClock(day=1, hour=2.0)]
+
+    def test_reprs(self, milan):
+        assert repr(milan[ComponentId.MW]) == "ComponentParams(peak_rate=2942.0, peak_time=9.45, variance=0.88)"
+        assert repr(WeekClock(1, 2)) == "WeekClock(day=1, hour=2.0)"
+        assert repr(milan) == "WeeklyModel(components=mappingproxy({" + ", ".join(
+            f"{comp!r}: {milan[comp]!r}" for comp in ComponentId) + "}))"
+
+    def test_equal_values_hash_equal(self, milan, values):
+        twins = [WeeklyModel(dict(milan.components)), ComponentParams(2942, 9.45, 0.88), WeekClock(1.0, 2)]
+        for value, twin in zip(values, twins):
+            assert value == twin and value is not twin and hash(value) == hash(twin)
+            fields = tuple(getattr(value, name) for name in value.__slots__)  # another type, the same fields
+            assert (value == fields) is False and (value == "x") is False
+        assert len(set(values)) == 3
+        assert ComponentParams(1, 2, 3) != ComponentParams(1, 2, 4)
+        assert WeekClock(1, 2.0) != WeekClock(2, 2.0)
+
+    def test_positional_and_keyword_construction(self):
+        assert ComponentParams(1.0, 2.0, 3.0) == ComponentParams(variance=3.0, peak_time=2.0, peak_rate=1.0)
+        assert WeekClock(3, 4.5) == WeekClock(hour=4.5, day=3)
+        components = {c: ComponentParams(1.0, 2.0, 3.0) for c in ComponentId}
+        assert WeeklyModel(components) == WeeklyModel(components=components)
+        with pytest.raises(TypeError):
+            ComponentParams(1.0, 2.0)
+        with pytest.raises(TypeError):
+            WeekClock(1, 2.0, minute=3)
+
+    def test_fields_refuse_assignment_and_deletion(self, values):
+        for value in values:
+            for name in value.__slots__:
+                with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                    setattr(value, name, 1.0)
+                with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+                    delattr(value, name)
+            with pytest.raises(AttributeError):
+                value.other = 1.0
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        lambda value: pickle.loads(pickle.dumps(value, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ], ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, values, duplicate):
+        for value in values:
+            twin = duplicate(value)
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+            assert repr(twin) == repr(value)
+        twin = duplicate(values[0])
+        assert twin.components[ComponentId.MW] == values[1]
+        with pytest.raises(TypeError):  # still read-only
+            twin.components[ComponentId.MW] = values[1]
 
 
 class TestTrafficSeries:

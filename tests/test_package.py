@@ -48,6 +48,9 @@ NAMES = [name for names in EXPORTS.values() for name in names]
 # what synth, predict and inspect never call
 UNUSED = ["weekfit.baselines", "weekfit.estimator", "weekfit.metrics"]
 SRC = Path(weekfit.__file__).parent.parent
+MODEL = SRC / "weekfit" / "fixtures" / "milan.json"
+# modules that loading, inspecting and predicting from a model have no use for
+NOT_NEEDED = ["numpy", "dataclasses", "inspect", "typing", "importlib.resources"]
 
 
 def _loaded_after(code: str) -> list[str]:
@@ -56,6 +59,17 @@ def _loaded_after(code: str) -> list[str]:
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     return result.stdout.split()
+
+
+def _not_needed_after(code: str, cwd: Path) -> list[str]:
+    """Which of NOT_NEEDED a fresh ``python -S`` holds after running ``code`` (its last line of stdout).
+
+    ``-S`` skips site, so no ``.pth`` file of the environment can load any of them first.
+    """
+    probe = code + f"\nimport sys\nprint(*[m for m in {NOT_NEEDED!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, cwd=cwd,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
+    return result.stdout.splitlines()[-1].split()
 
 
 @pytest.mark.parametrize("submodule", EXPORTS)
@@ -101,8 +115,7 @@ def test_bundled_model_loads_no_fitting_code():
                          ids=["inspect", "predict"])
 def test_command_loads_no_numpy(command, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    model = SRC / "weekfit" / "fixtures" / "milan.json"
-    argv = [*command, "--model", str(model)]
+    argv = [*command, "--model", str(MODEL)]
     loaded = _loaded_after(f"from weekfit.cli import main; assert main({argv!r}) == 0")
     assert "numpy" not in loaded, loaded
 
@@ -119,3 +132,20 @@ def test_synth_predict_and_inspect_load_no_fitting_code(tmp_path):
     loaded = _loaded_after(f"from weekfit.cli import main; {calls}")
     assert "weekfit.cli" in loaded
     assert not set(UNUSED) & set(loaded), loaded
+
+
+@pytest.mark.parametrize("argv", [None, ["inspect"], ["predict", "--weeks", "2", "--out", "pred.csv"]],
+                         ids=["load_model", "inspect", "predict"])
+def test_model_paths_import_only_what_they_run(argv, tmp_path):
+    if argv is None:
+        code = f"import weekfit; weekfit.load_model({str(MODEL)!r})"
+    else:  # as `python -m weekfit.cli` runs it
+        code = (f"import runpy, sys; sys.argv = ['weekfit', *{argv!r}, '--model', {str(MODEL)!r}]\n"
+                "try: runpy.run_module('weekfit.cli', run_name='__main__')\n"
+                "except SystemExit as exit: assert exit.code == 0, exit.code")
+    assert _not_needed_after(code, tmp_path) == []
+
+
+def test_bundled_model_imports_only_importlib_resources(tmp_path):
+    loaded = _not_needed_after("import weekfit; weekfit.bundled_model('milan')", tmp_path)
+    assert set(loaded) <= {"importlib.resources", "typing"}, loaded  # importlib.resources imports typing
