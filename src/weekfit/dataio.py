@@ -7,10 +7,9 @@ import io
 import math
 import operator
 from array import array
-from dataclasses import dataclass
-from datetime import datetime, timedelta
-from itertools import islice
-from typing import Sequence
+from collections.abc import Sequence
+from datetime import date, datetime, timedelta
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .errors import (
     _reals,
 )
 from .model import TrafficSeries
+from .params import _Frozen
 from .params import _write_csv, _write_series_csv  # numpy-free, so weekfit predict writes with them too
 # the model file is read and written in params.py, which needs no numpy; its
 # functions, types and checks are also importable from here, as weekfit.dataio.<name>
@@ -41,6 +41,9 @@ SYNTH_EPOCH = datetime(2024, 1, 1)
 # timestamps have five-digit years, which datetime.fromisoformat refuses
 _LAST_HOUR = (datetime.max - SYNTH_EPOCH) // timedelta(hours=1)
 
+# write_timestamp_csv writes a timestamp as its day's ISO date and one of these
+_HOUR_TIMES = [f"T{hour:02d}:00:00" for hour in range(HOURS_PER_DAY)]
+
 # _parse_plain reads about this many characters at a time, up to a line end,
 # so only one chunk's text and cells are alive at a time
 _CHUNK_CHARS = 1 << 16
@@ -49,31 +52,29 @@ _CHUNK_CHARS = 1 << 16
 _HEADER = ["timestamp", "value"]
 
 
-@dataclass(frozen=True, eq=False)
-class Readings:
+class Readings(_Frozen):
     """Raw measurements as two columns: instants and the non-negative count/rate at each."""
 
-    timestamps: list[datetime]
-    values: np.ndarray
+    __slots__ = __match_args__ = ("timestamps", "values")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # by identity: the fields are a list and an array
 
-    def __post_init__(self):
-        values = _reals(self.values, "value", empty=True)
-        if values.size != len(self.timestamps):
+    def __init__(self, timestamps: list[datetime], values: np.ndarray):
+        values = _reals(values, "value", empty=True)
+        if values.size != len(timestamps):
             raise ValueError(
                 f"need one value per timestamp, got {values.size} values "
-                f"for {len(self.timestamps)} timestamps"
+                f"for {len(timestamps)} timestamps"
             )
-        object.__setattr__(self, "values", values)
+        self._fill(timestamps, values)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(_Frozen):
     """Train/test split rule: the number of whole training weeks."""
 
-    train_weeks: int = 2
+    __slots__ = __match_args__ = ("train_weeks",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "train_weeks", _integer(self.train_weeks, "train_weeks", 1))
+    def __init__(self, train_weeks: int = 2):
+        self._fill(_integer(train_weeks, "train_weeks", 1))
 
 
 def load_csv(source) -> Readings:
@@ -302,10 +303,12 @@ def write_timestamp_csv(series: TrafficSeries, path) -> None:
         raise WeekfitError(
             f"hour {series.end - 1} is past 9999-12-31T23:00, the last timestamp a CSV can hold"
         )
-    hours = np.datetime64(SYNTH_EPOCH, "h") + np.arange(series.start, series.end)
-    stamps = np.datetime_as_string(hours, unit="s").tolist()
-    rows = zip(stamps, map(repr, series.values.tolist()))
-    _write_csv(path, _HEADER, rows)
+    # made as written, the timestamps a day and the values 16,384 at a time, so the text is never all held
+    first_day, skip = divmod(series.start, HOURS_PER_DAY)
+    days = map(date.isoformat, map(date.fromordinal, count(SYNTH_EPOCH.toordinal() + first_day)))
+    stamps = islice(chain.from_iterable(map(day.__add__, _HOUR_TIMES) for day in days), skip, skip + len(series))
+    blocks = (series.values[i:i + (1 << 14)].tolist() for i in range(0, len(series), 1 << 14))
+    _write_csv(path, _HEADER, zip(stamps, map(repr, chain.from_iterable(blocks))))
 
 
 def write_trace_csv(trace: Sequence[float], path) -> None:

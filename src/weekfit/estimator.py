@@ -29,8 +29,6 @@ trace is non-increasing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import _finite, _integer, _real, _reals
@@ -44,7 +42,7 @@ from .model import (
     _slot_statistics,
     TrafficSeries,
 )
-from .params import ComponentId, DayCategory, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeeklyModel
+from .params import _Frozen, ComponentId, DayCategory, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeeklyModel
 
 N_PARAMETERS = 3 * len(ComponentId)
 
@@ -80,8 +78,7 @@ _START_HOURS = np.arange(_EARLIEST_START, HOURS_PER_DAY)
 _START_BUMPS = np.exp(-np.subtract.outer(_START_HOURS, _START_HOURS) ** 2 / (2.0 * _START_VARIANCE))
 
 
-@dataclass(frozen=True)
-class FitConfig:
+class FitConfig(_Frozen):
     """Optimizer settings.
 
     ``method`` picks the solver: ``"lm"`` (Levenberg-Marquardt, default) or
@@ -93,20 +90,17 @@ class FitConfig:
     the tolerance until ``max_iterations``.
     """
 
-    max_iterations: int = 5000
-    relative_tolerance: float = 1e-8
-    method: str = "lm"
+    __slots__ = __match_args__ = ("max_iterations", "relative_tolerance", "method")
 
-    def __post_init__(self):
-        object.__setattr__(self, "max_iterations", _integer(self.max_iterations, "max_iterations", 1))
-        tolerance = _real(self.relative_tolerance, "relative_tolerance", 0, strict=True, below=1)
-        object.__setattr__(self, "relative_tolerance", tolerance)
-        if self.method not in _SOLVERS:
-            raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {self.method!r}")
+    def __init__(self, max_iterations: int = 5000, relative_tolerance: float = 1e-8, method: str = "lm"):
+        max_iterations = _integer(max_iterations, "max_iterations", 1)
+        tolerance = _real(relative_tolerance, "relative_tolerance", 0, strict=True, below=1)
+        if method not in _SOLVERS:
+            raise ValueError(f"method must be one of {', '.join(_SOLVERS)}, got {method!r}")
+        self._fill(max_iterations, tolerance, method)
 
 
-@dataclass(frozen=True, eq=False)
-class FitReport:
+class FitReport(_Frozen):
     """Outcome of one fit: the model plus the convergence record.
 
     ``stop_reason`` is one of ``STOP_REASONS``: ``"tolerance"`` (the fit
@@ -115,19 +109,15 @@ class FitReport:
     passed 1e16).
     """
 
-    model: WeeklyModel
-    objective_trace: np.ndarray
-    stop_reason: str
+    __slots__ = __match_args__ = ("model", "objective_trace", "stop_reason")
 
-    def __post_init__(self):
-        trace = _reals(self.objective_trace, "objective_trace")
+    def __init__(self, model: WeeklyModel, objective_trace: np.ndarray, stop_reason: str):
+        trace = _reals(objective_trace, "objective_trace")
         if np.any(np.diff(trace) > 0.0):
             raise ValueError("objective_trace must be non-increasing")
-        if self.stop_reason not in STOP_REASONS:
-            raise ValueError(
-                f"stop_reason must be one of {', '.join(STOP_REASONS)}, got {self.stop_reason!r}"
-            )
-        object.__setattr__(self, "objective_trace", trace)
+        if stop_reason not in STOP_REASONS:
+            raise ValueError(f"stop_reason must be one of {', '.join(STOP_REASONS)}, got {stop_reason!r}")
+        self._fill(model, trace, stop_reason)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FitReport):

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ConstantActualError, _finite, _integer, _real, _reals
+from .params import _Frozen
 
 
 def _paired(actual, predicted) -> tuple[np.ndarray, np.ndarray]:
@@ -55,30 +55,26 @@ def r2(actual, predicted) -> float:
     return float(_finite(1.0 - ss_res / ss_tot, "r2"))
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Frozen):
     """Accuracy of one predictor on one test window.
 
     A pure value of the actual and predicted series; wall time is measured
     only by the command line.
     """
 
-    mse: float
-    rmse: float
-    mae: float
-    r2: float
-    n_samples: int
+    __slots__ = __match_args__ = ("mse", "rmse", "mae", "r2", "n_samples")
 
-    def __post_init__(self):
-        object.__setattr__(self, "n_samples", _integer(self.n_samples, "n_samples", 1))
-        for name, lowest in (("mse", 0), ("rmse", 0), ("mae", 0), ("r2", -math.inf)):
-            object.__setattr__(self, name, _real(getattr(self, name), name, lowest))
-        if self.rmse != math.sqrt(self.mse):
+    def __init__(self, mse: float, rmse: float, mae: float, r2: float, n_samples: int):
+        n_samples = _integer(n_samples, "n_samples", 1)
+        mse, rmse, mae = _real(mse, "mse", 0), _real(rmse, "rmse", 0), _real(mae, "mae", 0)
+        r2 = _real(r2, "r2", -math.inf)
+        if rmse != math.sqrt(mse):
             raise ValueError("rmse must equal sqrt(mse) exactly")
-        if self.mae > self.rmse * (1.0 + 1e-12):
+        if mae > rmse * (1.0 + 1e-12):
             raise ValueError("mae cannot exceed rmse")
-        if self.r2 > 1.0 + 1e-12:
+        if r2 > 1.0 + 1e-12:
             raise ValueError("r2 cannot exceed 1")
+        self._fill(mse, rmse, mae, r2, n_samples)
 
     @classmethod
     def from_predictions(cls, actual, predicted) -> "EvalReport":
@@ -93,4 +89,4 @@ class EvalReport:
         )
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self.__slots__, self._fields()))

@@ -11,21 +11,19 @@ side, so the profile is exactly 168-hour periodic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SeriesTooShortError, _finite, _integer, _real, _reals
 # the parameters and the week layout are defined in params.py, which needs no
 # numpy; every one of them is also importable from here, as weekfit.model.<name>
 from .params import (
-    _CATEGORY_DAYS, _COMPONENT_LAYOUT, _EXP_FLOOR, _MAX_HOURS, _TERMS, ComponentId, ComponentParams, DayCategory,
-    DayPeriod, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeekClock, WeeklyModel, sigma_interval, week_clock_at,
+    _CATEGORY_DAYS, _COMPONENT_LAYOUT, _EXP_FLOOR, _Frozen, _MAX_HOURS, _TERMS, ComponentId, ComponentParams,
+    DayCategory, DayPeriod, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeekClock, WeeklyModel, sigma_interval,
+    week_clock_at,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class TrafficSeries:
+class TrafficSeries(_Frozen):
     """Gap-free hourly samples addressed by an absolute hour counter.
 
     ``start`` counts hours from Monday 00:00 of week 0.  Day and hour
@@ -33,12 +31,10 @@ class TrafficSeries:
     one hour apart by construction and the series can never contain gaps.
     """
 
-    values: np.ndarray
-    start: int = 0
+    __slots__ = __match_args__ = ("values", "start")
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _reals(self.values, "values"))
-        object.__setattr__(self, "start", _integer(self.start, "start", 0))
+    def __init__(self, values: np.ndarray, start: int = 0):
+        self._fill(_reals(values, "values"), _integer(start, "start", 0))
 
     def __len__(self) -> int:
         return self.values.size

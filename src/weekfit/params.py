@@ -4,9 +4,10 @@ series CSV that ``weekfit predict`` writes.  None of it needs array maths, so th
 imports numpy: a process that only loads, saves, inspects or predicts from a model starts
 without it.  ``model`` evaluates the same 63-term layout with numpy for the library.
 
-The same process imports no more of the standard library than it runs: the three value types
-are plain frozen classes built on ``_Frozen``, not dataclasses (whose import pulls in
-``inspect``, ``ast`` and ``dis``), the annotations need no ``typing``, and
+The same process imports no more of the standard library than it runs: the package's nine value
+types (the three here, ``Readings``, ``SplitSpec``, ``TrafficSeries``, ``FitConfig``, ``FitReport``
+and ``EvalReport``) are plain frozen classes built on ``_Frozen``, not dataclasses (whose import
+pulls in ``inspect``, ``ast`` and ``dis``), the annotations need no ``typing``, and
 ``importlib.resources`` is imported only by ``bundled_model``."""
 
 from __future__ import annotations
@@ -87,7 +88,9 @@ _COMPONENT_LAYOUT = dict(zip(ComponentId, product(DayCategory, DayPeriod)))
 
 class _Frozen:
     """A frozen value built from its ``__slots__``: it compares, hashes, prints, pickles and copies
-    as the tuple of its fields, and refuses assignment and ``del``."""
+    as the tuple of its fields, and refuses assignment and ``del``.  A subclass's ``__init__``, which
+    unpickling and copying call again, checks its arguments and passes them to ``_fill`` in slot
+    order.  One whose fields hold arrays compares by value and does not hash, or goes by identity."""
 
     __slots__ = ()
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 from zoneinfo import ZoneInfo
@@ -654,6 +655,17 @@ class TestWriterBytes:
         rows = [(stamp.isoformat(), v) for stamp, v in zip(stamps, series.values.tolist())]
         write_timestamp_csv(series, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(["timestamp", "value"], rows)
+
+    def test_timestamp_csv_never_holds_the_whole_text(self, tmp_path):
+        # 2,000 weeks, whose timestamps and values as text take about 75 MiB
+        series = TrafficSeries(np.random.default_rng(5).uniform(0, 1e4, 336_000))
+        tracemalloc.start()
+        try:
+            write_timestamp_csv(series, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_trace_csv(self, tmp_path):
         trace = [1.7976931348623157e+308, 12.5, 0.1, 5e-324, 0.0]

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from weekfit import (
     ComponentParams,
     DayCategory,
     DayPeriod,
+    EvalReport,
+    FitConfig,
+    FitReport,
+    Readings,
+    SplitSpec,
     TrafficSeries,
     WeekClock,
     WeeklyModel,
@@ -183,11 +189,37 @@ class TestWeekClock:
 
 class TestValueTypes:
     """ComponentParams, WeeklyModel and WeekClock are frozen values: they compare, hash, print,
-    pickle and copy by their fields."""
+    pickle and copy by their fields.  So are SplitSpec, FitConfig and EvalReport; Readings compares
+    and hashes by identity, and TrafficSeries and FitReport compare by value and do not hash."""
+
+    DUPLICATES = [
+        lambda value: pickle.loads(pickle.dumps(value)),
+        lambda value: pickle.loads(pickle.dumps(value, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ]
+    DUPLICATE_IDS = ["pickle", "pickle-protocol-0", "copy", "deepcopy"]
+    # the first check each of the six runs, in the module that defines it
+    FIRST_CHECKS = [
+        "weekfit.dataio._reals", "weekfit.dataio._integer", "weekfit.model._reals",
+        "weekfit.estimator._integer", "weekfit.estimator._reals", "weekfit.metrics._integer",
+    ]
 
     @pytest.fixture()
     def values(self, milan):
         return [milan, milan[ComponentId.MW], WeekClock(day=1, hour=2.0)]
+
+    @pytest.fixture()
+    def others(self, milan):
+        """One of each of the other six types, in FIRST_CHECKS' order."""
+        return [
+            Readings([datetime(2024, 1, 1, 5)], [1.5]),
+            SplitSpec(3),
+            TrafficSeries([1.0, 2.5], 3),
+            FitConfig(100, 1e-6, "gd"),
+            FitReport(milan, [2.0, 1.0], "tolerance"),
+            EvalReport(4.0, 2.0, 1.0, 0.5, 3),
+        ]
 
     def test_reprs(self, milan):
         assert repr(milan[ComponentId.MW]) == "ComponentParams(peak_rate=2942.0, peak_time=9.45, variance=0.88)"
@@ -215,8 +247,8 @@ class TestValueTypes:
         with pytest.raises(TypeError):
             WeekClock(1, 2.0, minute=3)
 
-    def test_fields_refuse_assignment_and_deletion(self, values):
-        for value in values:
+    def test_fields_refuse_assignment_and_deletion(self, values, others):
+        for value in values + others:
             for name in value.__slots__:
                 with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
                     setattr(value, name, 1.0)
@@ -225,12 +257,7 @@ class TestValueTypes:
             with pytest.raises(AttributeError):
                 value.other = 1.0
 
-    @pytest.mark.parametrize("duplicate", [
-        lambda value: pickle.loads(pickle.dumps(value)),
-        lambda value: pickle.loads(pickle.dumps(value, protocol=0)),
-        copy.copy,
-        copy.deepcopy,
-    ], ids=["pickle", "pickle-protocol-0", "copy", "deepcopy"])
+    @pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
     def test_pickle_and_copy_round_trip(self, values, duplicate):
         for value in values:
             twin = duplicate(value)
@@ -240,6 +267,97 @@ class TestValueTypes:
         assert twin.components[ComponentId.MW] == values[1]
         with pytest.raises(TypeError):  # still read-only
             twin.components[ComponentId.MW] = values[1]
+
+    def test_reprs_of_the_other_six(self, milan):
+        assert repr(Readings([datetime(2024, 1, 1, 5)], [1.5])) == (
+            "Readings(timestamps=[datetime.datetime(2024, 1, 1, 5, 0)], values=array([1.5]))"
+        )
+        assert repr(SplitSpec()) == "SplitSpec(train_weeks=2)"
+        assert repr(TrafficSeries([1.0, 2.5], 3)) == "TrafficSeries(values=array([1. , 2.5]), start=3)"
+        assert repr(FitConfig()) == "FitConfig(max_iterations=5000, relative_tolerance=1e-08, method='lm')"
+        assert repr(FitReport(milan, [2.0, 1.0], "tolerance")) == (
+            f"FitReport(model={milan!r}, objective_trace=array([2., 1.]), stop_reason='tolerance')"
+        )
+        assert repr(EvalReport(4.0, 2.0, 1.0, 0.5, 3)) == "EvalReport(mse=4.0, rmse=2.0, mae=1.0, r2=0.5, n_samples=3)"
+
+    def test_settings_and_scores_compare_and_hash_as_their_fields(self, others):
+        twins = [SplitSpec(3), FitConfig(100, 1e-6, "gd"), EvalReport(4.0, 2.0, 1.0, 0.5, 3)]
+        for value, twin in zip([others[1], others[3], others[5]], twins):
+            fields = tuple(getattr(value, name) for name in value.__match_args__)
+            assert value == twin and value is not twin and hash(value) == hash(twin) == hash(fields)
+            assert (value == fields) is False and (value == "x") is False
+        assert SplitSpec(3) != SplitSpec(2) and FitConfig(method="gd") != FitConfig()
+        assert EvalReport(4.0, 2.0, 1.0, 0.5, 3) != EvalReport(4.0, 2.0, 1.0, 0.5, 4)
+
+    def test_series_and_fit_reports_compare_by_value_and_do_not_hash(self, milan, others):
+        twins = [
+            TrafficSeries(np.array([1.0, 2.5]), 3),
+            FitReport(WeeklyModel(dict(milan.components)), (2, 1), "tolerance"),
+        ]
+        for value, twin in zip([others[2], others[4]], twins):
+            assert value == twin and value is not twin and (value == "x") is False
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(value)
+        assert FitReport(milan, [2.0, 1.0], "tolerance") != FitReport(milan, [2.0, 1.0], "max_iterations")
+
+    def test_readings_compare_and_hash_by_identity(self, others):
+        readings = others[0]
+        twin = Readings(readings.timestamps, readings.values)
+        assert readings == readings and readings != twin
+        assert hash(readings) == object.__hash__(readings) and len({readings, twin}) == 2
+
+    def test_other_six_positional_keyword_and_default_construction(self, milan):
+        stamps = [datetime(2024, 1, 1, 5)]
+        readings = Readings(values=[1.5], timestamps=stamps)
+        assert readings.timestamps is stamps and readings.values.tolist() == [1.5]
+        assert SplitSpec() == SplitSpec(2) == SplitSpec(train_weeks=2)
+        assert TrafficSeries([1.0]) == TrafficSeries([1.0], 0) == TrafficSeries(start=0, values=[1.0])
+        assert FitConfig() == FitConfig(5000, 1e-8, "lm") == FitConfig(method="lm", relative_tolerance=1e-8)
+        assert FitReport(milan, [1.0], "tolerance") == FitReport(stop_reason="tolerance", objective_trace=[1.0],
+                                                                 model=milan)
+        assert EvalReport(4.0, 2.0, 1.0, 0.5, 3) == EvalReport(n_samples=3, r2=0.5, mae=1.0, rmse=2.0, mse=4.0)
+        for build in (lambda: Readings(stamps), lambda: SplitSpec(2, 3), lambda: TrafficSeries(),
+                      lambda: FitConfig(tolerance=1e-3), lambda: FitReport(milan, [1.0]),
+                      lambda: EvalReport(4.0, 2.0, 1.0, 0.5)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_other_six_match_their_fields_by_position(self, others):
+        for value in others:
+            match value:
+                case Readings(stamps, values):
+                    fields = (stamps, values)
+                case SplitSpec(weeks):
+                    fields = (weeks,)
+                case TrafficSeries(values, start):
+                    fields = (values, start)
+                case FitConfig(iterations, tolerance, method):
+                    fields = (iterations, tolerance, method)
+                case FitReport(fitted, trace, reason):
+                    fields = (fitted, trace, reason)
+                case EvalReport(mse, rmse, mae, r2, n_samples):
+                    fields = (mse, rmse, mae, r2, n_samples)
+            assert len(fields) == len(value.__match_args__)
+            assert all(field is getattr(value, name) for field, name in zip(fields, value.__match_args__))
+
+    @pytest.mark.parametrize("duplicate", DUPLICATES, ids=DUPLICATE_IDS)
+    def test_other_six_round_trip_through_their_checks(self, others, duplicate, monkeypatch):
+        for value in others:
+            twin = duplicate(value)
+            assert type(twin) is type(value) and twin is not value and repr(twin) == repr(value)
+            for name in value.__match_args__:
+                if isinstance(getattr(value, name), np.ndarray):  # checked again, so read-only again
+                    assert not getattr(twin, name).flags.writeable
+        assert [duplicate(value) == value for value in others] == [False] + [True] * 5  # Readings: by identity
+
+        def refuse(*args, **kwargs):
+            raise ValueError("checked again")
+
+        for value, check in zip(others, self.FIRST_CHECKS):
+            with monkeypatch.context() as patch:
+                patch.setattr(check, refuse)
+                with pytest.raises(ValueError, match="checked again"):
+                    duplicate(value)
 
 
 class TestTrafficSeries:

@@ -1,6 +1,7 @@
 """The package's exports: every public name resolves, and a process loads only the submodules it calls.
 
 Reading, saving, printing and predicting from a model loads ``errors`` and ``params`` alone, and no numpy.
+No command loads ``dataclasses``.
 """
 
 import os
@@ -149,3 +150,24 @@ def test_model_paths_import_only_what_they_run(argv, tmp_path):
 def test_bundled_model_imports_only_importlib_resources(tmp_path):
     loaded = _not_needed_after("import weekfit; weekfit.bundled_model('milan')", tmp_path)
     assert set(loaded) <= {"importlib.resources", "typing"}, loaded  # importlib.resources imports typing
+
+
+def test_fitting_commands_load_no_dataclasses(tmp_path):
+    """synth, fit, evaluate and compare load no ``dataclasses`` beyond what ``import numpy`` loads.
+
+    Run without ``-S``: numpy lives in site-packages.
+    """
+    commands = [
+        ["synth", "--model", str(MODEL), "--weeks", "3", "--out", "data.csv"],
+        ["fit", "--input", "data.csv", "--out", "fit.json"],
+        ["evaluate", "--model", "fit.json", "--input", "data.csv"],
+        ["compare", "--input", "data.csv"],
+    ]
+    calls = "; ".join(f"assert main({argv!r}) == 0" for argv in commands)
+    probe = ("import sys, numpy; by_numpy = 'dataclasses' in sys.modules\n"
+             f"from weekfit.cli import main; {calls}\n"
+             "print(by_numpy, 'dataclasses' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, cwd=tmp_path,
+                            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120, check=True)
+    by_numpy, at_exit = result.stdout.splitlines()[-1].split()
+    assert at_exit == by_numpy, "the commands loaded dataclasses"
