@@ -11,21 +11,27 @@ that call them. So ``synth`` never loads the fitting code, and ``inspect``
 and ``predict`` never load numpy: ``predict`` writes the model's week
 profile from ``params._week_profile``, summed with ``math.fsum``, where the
 library's ``predict_series`` sums the same terms with numpy.
+``main`` builds only the subparser of the command it runs.
 A process enters through ``_entry`` (``python -m weekfit.cli`` and the
 ``weekfit`` script), which runs ``main`` with the cyclic garbage collector
-off and freezes the heap before it exits: a run makes few reference
-cycles, so the collector's passes over numpy's import and the
-interpreter's final pass over every tracked object are wasted time.
-``main`` itself leaves the collector alone, for callers in a process
-of their own.
+off, because a run makes few reference cycles and the collector's passes
+over numpy's import are wasted time. Then it runs the exit handlers,
+flushes stdout and stderr, and ends the process with ``os._exit``, which
+skips the interpreter's teardown. A stdout that cannot take its text, such
+as a pipe whose reader has gone, is an input error: ``error:`` and status 1.
+Under a tracer or profiler the process exits normally, heap frozen, so the
+tool can report. ``main`` itself leaves the collector alone, for callers in
+a process of their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import json
 import math
+import os
 import sys
 import time
 
@@ -151,7 +157,7 @@ def _cmd_predict(args) -> int:
     except MemoryError:  # a bare MemoryError has no message
         hours = args.weeks * HOURS_PER_WEEK
         raise WeekfitError(f"--weeks {args.weeks}: {hours} hours are too many to hold in memory") from None
-    _write_series_csv(values, 0, args.out)
+    _write_series_csv(values, 0, len(values), args.out)
     print(f"wrote {args.out} ({len(values)} hours)")
     if args.svg:
         _write_line_svg(values, args.svg, "predicted traffic")
@@ -256,13 +262,31 @@ def _at_least(lowest: int, kind=int, strict: bool = False, below: float = math.i
     return parse
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# the commands in ``weekfit --help``'s order, which is _build_parser's
+_COMMANDS = ("fit", "predict", "evaluate", "synth", "inspect", "compare")
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only ``command``'s subparser when it names one, else with all six.
+
+    Either parses a command's arguments alike. When only one subparser is
+    built, the top-level parser's one error is an unrecognized argument,
+    whose usage line ``metavar`` keeps naming all six commands.
+    """
     parser = argparse.ArgumentParser(
         prog="weekfit",
         description="Fit and evaluate weekly Gaussian-component traffic models.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    only = command in _COMMANDS
+    # left unset for all six, as the "invalid choice" and "required" errors
+    # name the argument by its metavar, else "command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     weeks = _at_least(1, highest=_MAX_HOURS // HOURS_PER_WEEK)  # generate_synthetic's n_weeks bound
+
+    def subparser(name, help):
+        """``name``'s subparser, or None when only another command's is built."""
+        return sub.add_parser(name, help=help) if not only or name == command else None
 
     def add_input_flags(p):
         p.add_argument("--input", required=True)
@@ -272,52 +296,53 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-iterations", type=_at_least(1))
         p.add_argument("--tolerance", type=_at_least(0, float, strict=True, below=1))
 
-    p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
-    add_input_flags(p)
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace", help="write the objective trajectory CSV here")
-    p.add_argument("--svg", help="write an objective-trajectory plot here")
-    p.add_argument("--timing", action="store_true", help="print elapsed time")
-    add_fit_flags(p)
-    p.set_defaults(handler=_cmd_fit)
+    if p := subparser("fit", "fit a model to a timestamp,value CSV"):
+        add_input_flags(p)
+        p.add_argument("--out", required=True)
+        p.add_argument("--trace", help="write the objective trajectory CSV here")
+        p.add_argument("--svg", help="write an objective-trajectory plot here")
+        p.add_argument("--timing", action="store_true", help="print elapsed time")
+        add_fit_flags(p)
+        p.set_defaults(handler=_cmd_fit)
 
-    p = sub.add_parser("predict", help="evaluate a saved model over a horizon")
-    p.add_argument("--model", required=True)
-    p.add_argument("--weeks", type=weeks, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--svg", help="write a prediction plot here")
-    p.set_defaults(handler=_cmd_predict)
+    if p := subparser("predict", "evaluate a saved model over a horizon"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--weeks", type=weeks, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--svg", help="write a prediction plot here")
+        p.set_defaults(handler=_cmd_predict)
 
-    p = sub.add_parser("evaluate", help="score a saved model on the test split")
-    p.add_argument("--model", required=True)
-    add_input_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--timing", action="store_true", help="include elapsed times")
-    p.set_defaults(handler=_cmd_evaluate)
+    if p := subparser("evaluate", "score a saved model on the test split"):
+        p.add_argument("--model", required=True)
+        add_input_flags(p)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--timing", action="store_true", help="include elapsed times")
+        p.set_defaults(handler=_cmd_evaluate)
 
-    p = sub.add_parser("synth", help="generate noisy synthetic data from a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("--weeks", type=weeks, required=True)
-    p.add_argument("--noise", type=_at_least(0, float), default=0.0)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_synth)
+    if p := subparser("synth", "generate noisy synthetic data from a model"):
+        p.add_argument("--model", required=True)
+        p.add_argument("--weeks", type=weeks, required=True)
+        p.add_argument("--noise", type=_at_least(0, float), default=0.0)
+        p.add_argument("--seed", type=_at_least(0), default=0)
+        p.add_argument("--out", required=True)
+        p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("inspect", help="per-component peak and interval table")
-    p.add_argument("--model", required=True)
-    p.set_defaults(handler=_cmd_inspect)
+    if p := subparser("inspect", "per-component peak and interval table"):
+        p.add_argument("--model", required=True)
+        p.set_defaults(handler=_cmd_inspect)
 
-    p = sub.add_parser("compare", help="fitted model vs baselines on the test split")
-    add_input_flags(p)
-    p.add_argument("--csv", help="also write the comparison table as CSV")
-    add_fit_flags(p)
-    p.set_defaults(handler=_cmd_compare)
+    if p := subparser("compare", "fitted model vs baselines on the test split"):
+        add_input_flags(p)
+        p.add_argument("--csv", help="also write the comparison table as CSV")
+        add_fit_flags(p)
+        p.set_defaults(handler=_cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)  # all six for --help, no command or an unknown one
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -332,12 +357,38 @@ def main(argv=None) -> int:
         return 2
 
 
+def _flushed(status: int) -> int:
+    """``status`` once stdout and stderr are flushed, or 1 with an ``error:`` line if one cannot take its text.
+
+    The failed stream is pointed at the null device, so that no later flush
+    (the interpreter's own at exit) fails on it again.
+    """
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with the descriptor closed
+                stream.flush()
+    except OSError as exc:  # a reader that closed its pipe, or a full disk
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        print(f"error: {exc}", file=sys.stderr, flush=True)
+        return 1
+    return status
+
+
 def _entry() -> None:
-    """Run ``main`` on ``sys.argv`` as a whole process: collector off, heap frozen at exit."""
+    """Run ``main`` on ``sys.argv`` as a whole process, with the collector off, and end it.
+
+    The exit handlers run and the streams are flushed, then ``os._exit``
+    skips the interpreter's teardown. Under a tracer or profiler, such as
+    coverage or cProfile, the process exits normally, so the tool can write
+    its report after the run.
+    """
     gc.disable()
     status = main()
+    if sys.gettrace() is None and sys.getprofile() is None:
+        atexit._run_exitfuncs()  # as the interpreter runs them, before its last flush
+        os._exit(_flushed(status))
     gc.freeze()  # the interpreter's last collections at exit skip frozen objects
-    sys.exit(status)
+    sys.exit(_flushed(status))
 
 
 if __name__ == "__main__":

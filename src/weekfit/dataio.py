@@ -7,7 +7,7 @@ import io
 import math
 import operator
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from datetime import date, datetime, timedelta
 from itertools import chain, count, islice
 
@@ -287,9 +287,14 @@ def split(series: TrafficSeries, spec: SplitSpec | None = None) -> tuple[Traffic
     return train, series.window(len(train), len(series))
 
 
+def _floats(values: np.ndarray) -> Iterator[float]:
+    """``values`` as Python floats, converted 16,384 at a time, so that a CSV writer never holds them all."""
+    return chain.from_iterable(values[i:i + (1 << 14)].tolist() for i in range(0, len(values), 1 << 14))
+
+
 def write_series_csv(series: TrafficSeries, path) -> None:
     """Write a series as ``week,day_k,hour,value`` rows, with ``weekfit predict``'s writer."""
-    _write_series_csv(series.values.tolist(), series.start, path)
+    _write_series_csv(_floats(series.values), series.start, len(series), path)
 
 
 def write_timestamp_csv(series: TrafficSeries, path) -> None:
@@ -303,12 +308,11 @@ def write_timestamp_csv(series: TrafficSeries, path) -> None:
         raise WeekfitError(
             f"hour {series.end - 1} is past 9999-12-31T23:00, the last timestamp a CSV can hold"
         )
-    # made as written, the timestamps a day and the values 16,384 at a time, so the text is never all held
+    # made as written, the timestamps a day at a time, so the text is never all held
     first_day, skip = divmod(series.start, HOURS_PER_DAY)
     days = map(date.isoformat, map(date.fromordinal, count(SYNTH_EPOCH.toordinal() + first_day)))
     stamps = islice(chain.from_iterable(map(day.__add__, _HOUR_TIMES) for day in days), skip, skip + len(series))
-    blocks = (series.values[i:i + (1 << 14)].tolist() for i in range(0, len(series), 1 << 14))
-    _write_csv(path, _HEADER, zip(stamps, map(repr, chain.from_iterable(blocks))))
+    _write_csv(path, _HEADER, zip(stamps, map(repr, _floats(series.values))))
 
 
 def write_trace_csv(trace: Sequence[float], path) -> None:

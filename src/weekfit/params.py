@@ -328,13 +328,13 @@ def _write_csv(path, header: list[str], rows: Iterable[Sequence[str]]) -> None:
             handle.write("\r\n".join(chunk) + "\r\n")
 
 
-def _write_series_csv(values: Sequence[float], start: int, path) -> None:
-    """Write hourly ``values`` from absolute hour ``start`` as ``week,day_k,hour,value`` rows.
+def _write_series_csv(values: Iterable[float], start: int, hours: int, path) -> None:
+    """Write ``hours`` hourly ``values`` from absolute hour ``start`` as ``week,day_k,hour,value`` rows.
 
     Hour counters are int64 throughout the package, so a series that runs
     past hour 2**63 - 2 raises WeekfitError before the file is opened.
     """
-    end = start + len(values)
+    end = start + hours
     if end > 2**63 - 1:
         raise WeekfitError(f"hour {end - 1} is past {2**63 - 2}, the last in a series CSV")
     rows = (

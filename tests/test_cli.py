@@ -37,6 +37,7 @@ from weekfit import (
     split,
 )
 import weekfit
+from weekfit import cli
 from weekfit.cli import format_clock, main
 from weekfit.params import _week_profile
 
@@ -568,18 +569,67 @@ class TestProcessEntry:
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith(stderr)
 
-    def test_entry_runs_main_with_the_collector_off_and_the_heap_frozen(self, tmp_path, gz_path):
+    def test_entry_exits_with_mains_status_and_the_collector_off(self, tmp_path, gz_path):
         probe = (
             "import gc, sys\n"
-            "from weekfit.cli import _entry\n"
-            f"sys.argv = ['weekfit', 'inspect', '--model', {str(gz_path)!r}]\n"
-            "try:\n"
-            "    _entry()\n"
-            "except SystemExit as exit:\n"
-            "    print(exit.code, gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr)\n"
+            "from weekfit import cli\n"
+            "run_main = cli.main\n"
+            "def main():\n"
+            "    print('collector on:', gc.isenabled(), file=sys.stderr)\n"
+            "    return run_main()\n"
+            "cli.main = main\n"
+            "sys.argv[1:] = ['inspect', '--model', sys.argv[1]]\n"
+            "cli._entry()\n"
+            "print('_entry returned', file=sys.stderr)\n"
         )
-        done = python("-c", probe, cwd=tmp_path)
-        assert done.stderr == "0 False True\n"
+        for model, status in ((gz_path, 0), ("missing.json", 1)):
+            assert run("inspect", "--model", model) == status
+            done = python("-c", probe, model, cwd=tmp_path)
+            assert done.returncode == status
+            assert done.stderr.splitlines()[0] == "collector on: False"
+            assert "_entry returned" not in done.stderr
+
+    def test_exit_handlers_run_after_main(self, tmp_path, gz_path):
+        probe = (
+            "import atexit, sys\n"
+            "from weekfit.cli import _entry\n"
+            "atexit.register(print, 'exit handler ran')\n"
+            "sys.argv[1:] = ['inspect', '--model', sys.argv[1]]\n"
+            "_entry()\n"
+        )
+        done = python("-c", probe, gz_path, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        lines = done.stdout.splitlines()
+        assert lines[0].startswith("component") and lines[-1] == "exit handler ran"
+
+    def test_a_profiler_still_reports(self, tmp_path, gz_path):
+        done = python("-m", "cProfile", "-m", "weekfit.cli", "inspect", "--model", gz_path, cwd=tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        table, _, report = done.stdout.partition("function calls")
+        assert table.startswith("component") and "Ordered by" in report
+
+    # buffered stdout, as when PYTHONUNBUFFERED is unset: the table is still
+    # held when main returns, so only the flush at exit meets the closed pipe;
+    # a tracer takes the interpreter's own exit, which flushes once more
+    @pytest.mark.parametrize("traced", [False, True], ids=["plain", "traced"])
+    def test_a_closed_stdout_is_an_input_error(self, tmp_path, gz_path, traced):
+        probe = (
+            "import sys\n"
+            f"sys.settrace({'lambda *event: None' if traced else 'None'})\n"
+            "from weekfit.cli import _entry\n"
+            "sys.argv[1:] = ['inspect', '--model', sys.argv[1]]\n"
+            "_entry()\n"
+        )
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        reader, writer = os.pipe()
+        os.close(reader)  # the reader is gone before anything is written
+        try:
+            done = subprocess.run([sys.executable, "-c", probe, str(gz_path)], cwd=tmp_path, stdout=writer,
+                                  stderr=subprocess.PIPE, text=True, env={**env, "PYTHONPATH": str(SRC)},
+                                  timeout=120)
+        finally:
+            os.close(writer)
+        assert (done.returncode, done.stderr) == (1, "error: [Errno 32] Broken pipe\n")
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_leaves_the_collector_alone(self, gz_path, capsys, enabled):
@@ -617,6 +667,49 @@ class TestProcessEntry:
         *printed, cycles = done.stdout.splitlines()
         assert "in 5000 iterations" in printed[-2]
         assert int(cycles) < 5000
+
+
+# one valid command line for each command, all its required flags given
+_VALID_ARGV = {
+    "fit": ["--input", "d.csv", "--out", "m.json"],
+    "predict": ["--model", "m.json", "--weeks", "1", "--out", "p.csv"],
+    "evaluate": ["--model", "m.json", "--input", "d.csv"],
+    "synth": ["--model", "m.json", "--weeks", "1", "--out", "d.csv"],
+    "inspect": ["--model", "m.json"],
+    "compare": ["--input", "d.csv"],
+}
+
+
+# main builds only the subparser that its first argument names: help, the
+# subparser's own errors and the top-level parser's "unrecognized arguments"
+# (whose usage line lists the commands) must read as with all six
+@pytest.mark.parametrize("tail", ["help", "bad-flag", "extra-flag"])
+@pytest.mark.parametrize("command", cli._COMMANDS)
+def test_one_subparser_parses_as_all_six(command, tail, capsys):
+    argv = {"help": ["--help"], "bad-flag": ["--bogus"], "extra-flag": [*_VALID_ARGV[command], "--bogus"]}[tail]
+    printed = []
+    for parser in (cli._build_parser(command), cli._build_parser()):
+        with pytest.raises(SystemExit) as exit:
+            parser.parse_args([command, *argv])
+        printed.append((exit.value.code, *capsys.readouterr()))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == (0 if tail == "help" else 2)
+
+
+def test_main_builds_the_subparser_its_first_argument_names(gz_path, monkeypatch, capsys):
+    built, build = [], cli._build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    assert run("inspect", "--model", gz_path) == 0
+    assert run() == 1
+    assert built == ["inspect", None]
+    with pytest.raises(SystemExit):  # the other five are not there
+        build("inspect").parse_args(["fit", *_VALID_ARGV["fit"]])
+    assert "invalid choice: 'fit' (choose from 'inspect')" in capsys.readouterr().err
 
 
 # Fuzzing: any input ends in exit 0 (a result) or 1 (an input error), in bounded

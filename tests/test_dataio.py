@@ -667,6 +667,18 @@ class TestWriterBytes:
             tracemalloc.stop()
         assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
+    def test_series_csv_never_holds_every_value(self, tmp_path):
+        # 2,000 weeks: a Python float per hour, held whole, peaks near 13 MiB;
+        # converted a block at a time, near 3 MiB
+        series = TrafficSeries(np.random.default_rng(5).uniform(0, 1e4, 336_000))
+        tracemalloc.start()
+        try:
+            write_series_csv(series, tmp_path / "s.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
     def test_trace_csv(self, tmp_path):
         trace = [1.7976931348623157e+308, 12.5, 0.1, 5e-324, 0.0]
         write_trace_csv(trace, tmp_path / "j.csv")

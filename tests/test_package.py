@@ -63,11 +63,13 @@ def _loaded_after(code: str) -> list[str]:
 
 
 def _not_needed_after(code: str, cwd: Path) -> list[str]:
-    """Which of NOT_NEEDED a fresh ``python -S`` holds after running ``code`` (its last line of stdout).
+    """Which of NOT_NEEDED a fresh ``python -S`` holds when it exits after ``code`` (its last line of stdout).
 
-    ``-S`` skips site, so no ``.pth`` file of the environment can load any of them first.
+    ``-S`` skips site, so no ``.pth`` file of the environment can load any of them first. An exit
+    handler prints them, because ``weekfit.cli._entry`` ends the process once it has run the handlers.
     """
-    probe = code + f"\nimport sys\nprint(*[m for m in {NOT_NEEDED!r} if m in sys.modules])"
+    probe = ("import atexit, sys\n"
+             f"atexit.register(lambda: print(*[m for m in {NOT_NEEDED!r} if m in sys.modules]))\n" + code)
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, cwd=cwd,
                             env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60, check=True)
     return result.stdout.splitlines()[-1].split()
@@ -140,10 +142,9 @@ def test_synth_predict_and_inspect_load_no_fitting_code(tmp_path):
 def test_model_paths_import_only_what_they_run(argv, tmp_path):
     if argv is None:
         code = f"import weekfit; weekfit.load_model({str(MODEL)!r})"
-    else:  # as `python -m weekfit.cli` runs it
+    else:  # as `python -m weekfit.cli` runs it; _not_needed_after checks that it exits 0
         code = (f"import runpy, sys; sys.argv = ['weekfit', *{argv!r}, '--model', {str(MODEL)!r}]\n"
-                "try: runpy.run_module('weekfit.cli', run_name='__main__')\n"
-                "except SystemExit as exit: assert exit.code == 0, exit.code")
+                "runpy.run_module('weekfit.cli', run_name='__main__')")
     assert _not_needed_after(code, tmp_path) == []
 
 
