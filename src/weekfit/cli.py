@@ -11,7 +11,6 @@ that call them. So ``synth`` never loads the fitting code, and ``inspect``
 and ``predict`` never load numpy: ``predict`` writes the model's week
 profile from ``params._week_profile``, summed with ``math.fsum``, where the
 library's ``predict_series`` sums the same terms with numpy.
-``main`` builds only the subparser of the command it runs.
 A process enters through ``_entry`` (``python -m weekfit.cli`` and the
 ``weekfit`` script), which runs ``main`` with the cyclic garbage collector
 off, because a run makes few reference cycles and the collector's passes
@@ -262,31 +261,13 @@ def _at_least(lowest: int, kind=int, strict: bool = False, below: float = math.i
     return parse
 
 
-# the commands in ``weekfit --help``'s order, which is _build_parser's
-_COMMANDS = ("fit", "predict", "evaluate", "synth", "inspect", "compare")
-
-
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with only ``command``'s subparser when it names one, else with all six.
-
-    Either parses a command's arguments alike. When only one subparser is
-    built, the top-level parser's one error is an unrecognized argument,
-    whose usage line ``metavar`` keeps naming all six commands.
-    """
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weekfit",
         description="Fit and evaluate weekly Gaussian-component traffic models.",
     )
-    only = command in _COMMANDS
-    # left unset for all six, as the "invalid choice" and "required" errors
-    # name the argument by its metavar, else "command"
-    metavar = "{" + ",".join(_COMMANDS) + "}" if only else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     weeks = _at_least(1, highest=_MAX_HOURS // HOURS_PER_WEEK)  # generate_synthetic's n_weeks bound
-
-    def subparser(name, help):
-        """``name``'s subparser, or None when only another command's is built."""
-        return sub.add_parser(name, help=help) if not only or name == command else None
 
     def add_input_flags(p):
         p.add_argument("--input", required=True)
@@ -296,53 +277,52 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--max-iterations", type=_at_least(1))
         p.add_argument("--tolerance", type=_at_least(0, float, strict=True, below=1))
 
-    if p := subparser("fit", "fit a model to a timestamp,value CSV"):
-        add_input_flags(p)
-        p.add_argument("--out", required=True)
-        p.add_argument("--trace", help="write the objective trajectory CSV here")
-        p.add_argument("--svg", help="write an objective-trajectory plot here")
-        p.add_argument("--timing", action="store_true", help="print elapsed time")
-        add_fit_flags(p)
-        p.set_defaults(handler=_cmd_fit)
+    p = sub.add_parser("fit", help="fit a model to a timestamp,value CSV")
+    add_input_flags(p)
+    p.add_argument("--out", required=True)
+    p.add_argument("--trace", help="write the objective trajectory CSV here")
+    p.add_argument("--svg", help="write an objective-trajectory plot here")
+    p.add_argument("--timing", action="store_true", help="print elapsed time")
+    add_fit_flags(p)
+    p.set_defaults(handler=_cmd_fit)
 
-    if p := subparser("predict", "evaluate a saved model over a horizon"):
-        p.add_argument("--model", required=True)
-        p.add_argument("--weeks", type=weeks, required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--svg", help="write a prediction plot here")
-        p.set_defaults(handler=_cmd_predict)
+    p = sub.add_parser("predict", help="evaluate a saved model over a horizon")
+    p.add_argument("--model", required=True)
+    p.add_argument("--weeks", type=weeks, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--svg", help="write a prediction plot here")
+    p.set_defaults(handler=_cmd_predict)
 
-    if p := subparser("evaluate", "score a saved model on the test split"):
-        p.add_argument("--model", required=True)
-        add_input_flags(p)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--timing", action="store_true", help="include elapsed times")
-        p.set_defaults(handler=_cmd_evaluate)
+    p = sub.add_parser("evaluate", help="score a saved model on the test split")
+    p.add_argument("--model", required=True)
+    add_input_flags(p)
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--timing", action="store_true", help="include elapsed times")
+    p.set_defaults(handler=_cmd_evaluate)
 
-    if p := subparser("synth", "generate noisy synthetic data from a model"):
-        p.add_argument("--model", required=True)
-        p.add_argument("--weeks", type=weeks, required=True)
-        p.add_argument("--noise", type=_at_least(0, float), default=0.0)
-        p.add_argument("--seed", type=_at_least(0), default=0)
-        p.add_argument("--out", required=True)
-        p.set_defaults(handler=_cmd_synth)
+    p = sub.add_parser("synth", help="generate noisy synthetic data from a model")
+    p.add_argument("--model", required=True)
+    p.add_argument("--weeks", type=weeks, required=True)
+    p.add_argument("--noise", type=_at_least(0, float), default=0.0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_synth)
 
-    if p := subparser("inspect", "per-component peak and interval table"):
-        p.add_argument("--model", required=True)
-        p.set_defaults(handler=_cmd_inspect)
+    p = sub.add_parser("inspect", help="per-component peak and interval table")
+    p.add_argument("--model", required=True)
+    p.set_defaults(handler=_cmd_inspect)
 
-    if p := subparser("compare", "fitted model vs baselines on the test split"):
-        add_input_flags(p)
-        p.add_argument("--csv", help="also write the comparison table as CSV")
-        add_fit_flags(p)
-        p.set_defaults(handler=_cmd_compare)
+    p = sub.add_parser("compare", help="fitted model vs baselines on the test split")
+    add_input_flags(p)
+    p.add_argument("--csv", help="also write the comparison table as CSV")
+    add_fit_flags(p)
+    p.set_defaults(handler=_cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)  # all six for --help, no command or an unknown one
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -374,6 +354,17 @@ def _flushed(status: int) -> int:
     return status
 
 
+def _watched() -> bool:
+    """Whether a tracer or profiler watches the process.
+
+    One registers through ``sys.settrace`` or ``sys.setprofile``, or from
+    Python 3.12 on as a ``sys.monitoring`` tool, as cProfile does there.
+    """
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None and any(monitoring.get_tool(tool) is not None for tool in range(6)))
+
+
 def _entry() -> None:
     """Run ``main`` on ``sys.argv`` as a whole process, with the collector off, and end it.
 
@@ -384,7 +375,7 @@ def _entry() -> None:
     """
     gc.disable()
     status = main()
-    if sys.gettrace() is None and sys.getprofile() is None:
+    if not _watched():
         atexit._run_exitfuncs()  # as the interpreter runs them, before its last flush
         os._exit(_flushed(status))
     gc.freeze()  # the interpreter's last collections at exit skip frozen objects

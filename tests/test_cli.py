@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from zoneinfo import ZoneInfo
@@ -608,6 +609,17 @@ class TestProcessEntry:
         table, _, report = done.stdout.partition("function calls")
         assert table.startswith("component") and "Ordered by" in report
 
+    # from Python 3.12 on, cProfile registers as a sys.monitoring tool, and
+    # sys.getprofile() reads None; the test runs on every version with a
+    # stand-in for sys.monitoring
+    @pytest.mark.parametrize("tool", [None, "cProfile"])
+    def test_a_monitoring_tool_counts_as_a_profiler(self, monkeypatch, tool):
+        monitoring = types.SimpleNamespace(get_tool=lambda tool_id: tool if tool_id == 2 else None)
+        monkeypatch.setattr(sys, "monitoring", monitoring, raising=False)
+        monkeypatch.setattr(sys, "gettrace", lambda: None)
+        monkeypatch.setattr(sys, "getprofile", lambda: None)
+        assert cli._watched() is (tool is not None)
+
     # buffered stdout, as when PYTHONUNBUFFERED is unset: the table is still
     # held when main returns, so only the flush at exit meets the closed pipe;
     # a tracer takes the interpreter's own exit, which flushes once more
@@ -667,49 +679,6 @@ class TestProcessEntry:
         *printed, cycles = done.stdout.splitlines()
         assert "in 5000 iterations" in printed[-2]
         assert int(cycles) < 5000
-
-
-# one valid command line for each command, all its required flags given
-_VALID_ARGV = {
-    "fit": ["--input", "d.csv", "--out", "m.json"],
-    "predict": ["--model", "m.json", "--weeks", "1", "--out", "p.csv"],
-    "evaluate": ["--model", "m.json", "--input", "d.csv"],
-    "synth": ["--model", "m.json", "--weeks", "1", "--out", "d.csv"],
-    "inspect": ["--model", "m.json"],
-    "compare": ["--input", "d.csv"],
-}
-
-
-# main builds only the subparser that its first argument names: help, the
-# subparser's own errors and the top-level parser's "unrecognized arguments"
-# (whose usage line lists the commands) must read as with all six
-@pytest.mark.parametrize("tail", ["help", "bad-flag", "extra-flag"])
-@pytest.mark.parametrize("command", cli._COMMANDS)
-def test_one_subparser_parses_as_all_six(command, tail, capsys):
-    argv = {"help": ["--help"], "bad-flag": ["--bogus"], "extra-flag": [*_VALID_ARGV[command], "--bogus"]}[tail]
-    printed = []
-    for parser in (cli._build_parser(command), cli._build_parser()):
-        with pytest.raises(SystemExit) as exit:
-            parser.parse_args([command, *argv])
-        printed.append((exit.value.code, *capsys.readouterr()))
-    assert printed[0] == printed[1]
-    assert printed[0][0] == (0 if tail == "help" else 2)
-
-
-def test_main_builds_the_subparser_its_first_argument_names(gz_path, monkeypatch, capsys):
-    built, build = [], cli._build_parser
-
-    def spy(command=None):
-        built.append(command)
-        return build(command)
-
-    monkeypatch.setattr(cli, "_build_parser", spy)
-    assert run("inspect", "--model", gz_path) == 0
-    assert run() == 1
-    assert built == ["inspect", None]
-    with pytest.raises(SystemExit):  # the other five are not there
-        build("inspect").parse_args(["fit", *_VALID_ARGV["fit"]])
-    assert "invalid choice: 'fit' (choose from 'inspect')" in capsys.readouterr().err
 
 
 # Fuzzing: any input ends in exit 0 (a result) or 1 (an input error), in bounded
