@@ -7,9 +7,10 @@ import io
 import math
 import operator
 from array import array
+from bisect import bisect_left
 from collections.abc import Iterator, Sequence
 from datetime import date, datetime, timedelta
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -47,6 +48,15 @@ _HOUR_TIMES = [f"T{hour:02d}:00:00" for hour in range(HOURS_PER_DAY)]
 # _parse_plain reads about this many characters at a time, up to a line end,
 # so only one chunk's text and cells are alive at a time
 _CHUNK_CHARS = 1 << 16
+
+# aggregate_hourly finds each hour's first reading by binary search when the
+# readings average more than this many an hour, and reads every reading's day
+# and hour otherwise.  Over 4 weeks of naive stamps (2-core Xeon, Python 3.11,
+# best of 9) the per-reading keys took 0.09 us a reading, the search 0.28 us
+# an hour at 1 reading an hour and 0.44 us at 60: the search took 1.07 times
+# the per-reading time at 3 readings an hour and 0.84 times at 4.  A shared
+# aware tzinfo costs the search another 0.04 us a reading to confirm.
+_SEARCH_ABOVE = 4
 
 # the ingestion CSV's header: load_csv requires it and write_timestamp_csv writes it
 _HEADER = ["timestamp", "value"]
@@ -212,6 +222,11 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     all share one UTC offset, whatever their tzinfo: across an offset
     change the wall-clock hour and the week slot would part.
 
+    Once sorted, readings denser than ``_SEARCH_ABOVE`` an hour on average
+    over the hours they span, with one tzinfo object or none, are bucketed
+    by a binary search for each hour's first reading; any others by every
+    reading's day and hour.  The sums and the errors are the same either way.
+
     ``spec`` is ignored; it stays only because the benchmark harness
     (``bench/workloads.py``) still passes one positionally.
     """
@@ -230,23 +245,67 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     except TypeError:
         raise WeekfitError("timestamps mix naive and timezone-aware datetimes") from None
     _require_one_utc_offset(stamps)
-    # one integer key per sample: its wall-clock hour, counted from 0001-01-01
+    first, last = stamps[0], stamps[-1]
+    span = (last.toordinal() - first.toordinal()) * HOURS_PER_DAY + last.hour - first.hour + 1
+    # the search compares readings with hour marks, a wall-clock comparison
+    # only between datetimes that share one tzinfo object; it walks at most
+    # len(stamps) / _SEARCH_ABOVE hours, however far apart the readings lie
+    tz = first.tzinfo
+    if len(stamps) > _SEARCH_ABOVE * span and (
+            tz is None or all(map(operator.is_, map(operator.attrgetter("tzinfo"), stamps), repeat(tz)))):
+        slots = _slots_by_search(stamps, span)
+    else:
+        slots = _slots_by_reading(stamps)
+    # np.bincount adds each slot's values one by one in sorted order, as a
+    # running sum would; np.add.reduceat and np.sum add pairwise and differ
+    # in the last bits
+    sums = _finite(np.bincount(slots, weights=values), "an hourly sum")
+    start = first.weekday() * HOURS_PER_DAY + first.hour
+    return TrafficSeries(sums, start)
+
+
+def _slots_by_reading(stamps: Sequence[datetime]) -> np.ndarray:
+    """Each sorted reading's wall-clock hour, counted from the first's, from every reading's day and hour."""
     n = len(stamps)
+    # one integer key per sample: its wall-clock hour, counted from 0001-01-01
     days = np.fromiter(map(datetime.toordinal, stamps), np.int64, n)
     hours = np.fromiter(map(operator.attrgetter("hour"), stamps), np.int64, n)
     keys = days * HOURS_PER_DAY + hours
     steps = np.diff(keys)
     gaps = np.flatnonzero((steps != 0) & (steps != 1))
     if gaps.size:
-        before = stamps[gaps[0]].replace(minute=0, second=0, microsecond=0)
-        raise GapError(f"missing hour {(before + timedelta(hours=1)).isoformat()}")
-    # steps are now 0 or 1, so a key less the first is its slot; np.bincount
-    # adds each slot's values one by one in sorted order, as a running sum
-    # would; np.add.reduceat and np.sum add pairwise and differ in the last bits
-    sums = _finite(np.bincount(keys - keys[0], weights=values), "an hourly sum")
-    first = stamps[0]
-    start = first.weekday() * HOURS_PER_DAY + first.hour
-    return TrafficSeries(sums, start)
+        raise _gap_after(stamps[gaps[0]])
+    # steps are now 0 or 1, so a key less the first is its slot
+    return keys - keys[0]
+
+
+def _slots_by_search(stamps: Sequence[datetime], span: int) -> np.ndarray:
+    """``_slots_by_reading``'s slots, from a binary search for the first reading of each of ``span`` hours.
+
+    The readings must share one tzinfo object, or none, so that comparing
+    one with an hour mark compares their wall clocks.
+    """
+    mark = stamps[0].replace(minute=0, second=0, microsecond=0)
+    one_hour = timedelta(hours=1)
+    firsts = [0]
+    at = 0
+    for _ in range(span - 1):
+        mark += one_hour
+        at = bisect_left(stamps, mark, at)
+        firsts.append(at)
+    counts = np.diff(firsts, append=len(stamps))
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        # every hour before it holds a reading, so the one before its first
+        # mark is the last reading before the gap, as _slots_by_reading finds it
+        raise _gap_after(stamps[firsts[empty[0]] - 1])
+    return np.repeat(np.arange(span), counts)
+
+
+def _gap_after(stamp: datetime) -> GapError:
+    """The error for an empty hour right after ``stamp``'s."""
+    before = stamp.replace(minute=0, second=0, microsecond=0)
+    return GapError(f"missing hour {(before + timedelta(hours=1)).isoformat()}")
 
 
 def _require_one_utc_offset(stamps: Sequence[datetime]) -> None:

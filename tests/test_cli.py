@@ -38,7 +38,7 @@ from weekfit import (
     split,
 )
 import weekfit
-from weekfit import cli
+from weekfit import cli, dataio
 from weekfit.cli import format_clock, main
 from weekfit.params import _week_profile
 
@@ -209,6 +209,30 @@ class TestSynthFitPipeline:
             fits.append(tmp_path / f"fit_{source.stem}.json")
             assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
         assert fits[0].read_bytes() == fits[1].read_bytes() == fits[2].read_bytes()
+
+    def test_ten_minute_copy_scores_like_the_hourly_file(self, tmp_path, gz_path, capsys):
+        # each hour's value at :00, then zeros at :10 to :50, which sum back
+        # to the same bits; six readings an hour take aggregate_hourly's search
+        assert 6 > dataio._SEARCH_ABOVE
+        hourly, minutes = tmp_path / "hourly.csv", tmp_path / "minutes.csv"
+        assert run("synth", "--model", gz_path, "--weeks", 3, "--noise", 150,
+                   "--seed", 3, "--out", hourly) == 0
+        header, *rows = hourly.read_text().splitlines()
+        lines = [header]
+        for row in rows:
+            hour = datetime.fromisoformat(row.split(",")[0])
+            lines += [row, *(f"{(hour + timedelta(minutes=m)).isoformat()},0.0" for m in range(10, 60, 10))]
+        minutes.write_text("".join(f"{line}\n" for line in lines))
+        outputs = []
+        for data in (hourly, minutes):
+            capsys.readouterr()
+            assert run("evaluate", "--model", gz_path, "--input", data, "--train-weeks", 2, "--json") == 0
+            evaluated = capsys.readouterr().out
+            table = tmp_path / f"compare_{data.stem}.csv"
+            assert run("compare", "--input", data, "--train-weeks", 2, "--csv", table) == 0
+            # predictor, mse, rmse, mae, r2 and n_samples; the timing columns differ
+            outputs.append((evaluated, [line.split(",")[:6] for line in table.read_text().splitlines()]))
+        assert outputs[0] == outputs[1]
 
     def test_synth_deterministic_bytes(self, tmp_path, gz_path):
         first = tmp_path / "a.csv"

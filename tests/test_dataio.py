@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -279,11 +280,13 @@ def readings_of(pairs) -> Readings:
 # aware inputs carry one offset per series; +05:30 puts the UTC hours at half past
 OFFSETS = [None, timezone.utc, timezone(timedelta(hours=5, minutes=30)),
            timezone(timedelta(hours=-3)), timezone(timedelta(hours=1))]
+# a zone whose offset changes; hourly_rows keeps a series in it within one winter
+ROME = ZoneInfo("Europe/Rome")
 
 
 @st.composite
-def hourly_rows(draw):
-    """Gap-free rows over 1-12 hours, in one of four orders.
+def hourly_rows(draw, gaps=False):
+    """Rows over 1-12 hours, in one of four orders.
 
     - shuffled, some timestamps repeated with other values;
     - in strictly increasing time order, which aggregation sums as read;
@@ -291,17 +294,27 @@ def hourly_rows(draw):
       order, so aggregation must sort them;
     - strictly increasing but for one swapped adjacent pair, so the order
       check may scan far before aggregation falls back to the sort.
+
+    Every hour holds 1 to 2, 6 or 24 rows, so a series may average fewer or
+    more rows an hour than aggregate_hourly's search threshold.  With
+    ``gaps``, up to two hours after the first may hold none.  A Europe/Rome
+    series starts before March, so it keeps one offset.
     """
-    tz = draw(st.sampled_from(OFFSETS))
-    first = datetime(2024, 1, 1, tzinfo=tz) + timedelta(hours=draw(st.integers(0, 24 * 366)))
+    tz = draw(st.sampled_from(OFFSETS + [ROME]))
+    days = 60 if tz is ROME else 366
+    first = datetime(2024, 1, 1, tzinfo=tz) + timedelta(hours=draw(st.integers(0, 24 * days)))
     order = draw(st.sampled_from(["shuffled", "increasing", "repeated", "one swap"]))
-    # few distinct offsets within the hour, so timestamps repeat
-    within = st.sampled_from([0, 1, 599_999_999, 1_800_000_000, 3_599_999_999])
+    # mostly few distinct offsets within the hour, so timestamps repeat
+    within = st.sampled_from([0, 1, 599_999_999, 1_800_000_000, 3_599_999_999]) | st.integers(0, 3_599_999_999)
     distinct = order in ("increasing", "one swap")
     value = st.floats(0.0, 1e6) | st.floats(0.0, 1e-6)
+    most = draw(st.sampled_from([2, 6, 24]))
+    dropped = draw(st.sets(st.integers(1, 11), max_size=2)) if gaps else set()
     rows = []
     for hour in range(draw(st.integers(1, 12))):
-        for offset_us in sorted(draw(st.lists(within, min_size=1, max_size=12, unique=distinct))):
+        if hour in dropped:
+            continue
+        for offset_us in sorted(draw(st.lists(within, min_size=1, max_size=most, unique=distinct))):
             stamp = first + timedelta(hours=hour, microseconds=offset_us)
             rows.append((stamp, draw(value)))
     if order == "shuffled":
@@ -313,6 +326,25 @@ def hourly_rows(draw):
         at = draw(st.integers(0, len(rows) - 2))
         rows[at], rows[at + 1] = rows[at + 1], rows[at]
     return rows
+
+
+def aggregate_outcome(readings):
+    """The hourly sums, bit for bit, and the start hour, or the error's type and message."""
+    try:
+        series = aggregate_hourly(readings)
+    except WeekfitError as exc:
+        return type(exc), str(exc)
+    return series.values.tobytes(), series.start
+
+
+def expected_outcome(rows):
+    """``aggregate_outcome`` by the per-row oracle, with the first empty hour as a GapError."""
+    hours = sorted({stamp.replace(minute=0, second=0, microsecond=0) for stamp, _ in rows})
+    for before, after in zip(hours, hours[1:]):
+        if after - before > timedelta(hours=1):
+            return GapError, f"missing hour {(before + timedelta(hours=1)).isoformat()}"
+    sums, start = naive_aggregate(*zip(*rows))
+    return sums.tobytes(), start
 
 
 class TestAggregateHourly:
@@ -383,6 +415,52 @@ class TestAggregateHourly:
         sums, start = naive_aggregate(*zip(*rows))
         assert np.array_equal(series.values, sums)
         assert series.start == start
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=hourly_rows(gaps=True), parsed=st.booleans())
+    def test_search_and_per_reading_paths_agree(self, rows, parsed):
+        # load_csv gives each reading with a non-UTC offset a tzinfo object
+        # of its own, which keeps the series off the search
+        if parsed:
+            rows = [(datetime.fromisoformat(stamp.isoformat()), value) for stamp, value in rows]
+        readings = readings_of(rows)
+        shared = len({id(stamp.tzinfo) for stamp, _ in rows}) == 1
+        # every series above the threshold, then every series below it
+        for above, searches in ((0, shared), (len(rows), False)):
+            with mock.patch.object(dataio, "_SEARCH_ABOVE", above), \
+                    mock.patch.object(dataio, "_slots_by_search", wraps=dataio._slots_by_search) as search:
+                assert aggregate_outcome(readings) == expected_outcome(rows)
+            assert search.called == searches
+
+    def test_minute_readings_take_the_search_and_hourly_ones_do_not(self):
+        first = datetime(2024, 1, 1, 7)
+        for step, searches in ((timedelta(minutes=1), True), (timedelta(hours=1), False)):
+            stamps = [first + k * step for k in range(600)]
+            with mock.patch.object(dataio, "_slots_by_search", wraps=dataio._slots_by_search) as search:
+                aggregate_hourly(Readings(stamps, np.ones(600)))
+            assert search.called == searches
+
+    @pytest.mark.parametrize("above", [0, 36])
+    def test_autumn_repeated_hour_at_ten_minute_density(self, above):
+        # the README's naive local times across the 2024-10-27 change, each
+        # hour at 10-minute density: the repeated 02 h is summed into one bucket
+        stamps = [datetime(2024, 10, 27, hour, minute)
+                  for hour in (0, 1, 2, 2, 3, 4) for minute in range(0, 60, 10)]
+        with mock.patch.object(dataio, "_SEARCH_ABOVE", above):
+            series = aggregate_hourly(Readings(stamps, np.full(36, 10.0)))
+        assert series.values.tolist() == [60.0, 60.0, 120.0, 60.0, 60.0]
+
+    def test_far_outlier_fails_without_walking_the_empty_hours(self):
+        # 600 readings in one hour, then one 1,000 years (8.8 million hours)
+        # later: the series averages far fewer readings an hour than the
+        # search needs, so it fails on its first empty hour at once
+        first = datetime(2024, 1, 1, 7)
+        stamps = [first + timedelta(seconds=6 * k) for k in range(600)] + [first.replace(year=3024)]
+        started = time.perf_counter()
+        with pytest.raises(GapError) as info:
+            aggregate_hourly(Readings(stamps, np.ones(601)))
+        assert time.perf_counter() - started < 2.0
+        assert str(info.value) == "missing hour 2024-01-01T08:00:00"
 
     def test_mixed_naive_and_aware_rejected(self):
         naive, aware = datetime(2013, 11, 4, 4), datetime(2013, 11, 4, 5, tzinfo=timezone.utc)
