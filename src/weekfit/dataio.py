@@ -9,7 +9,7 @@ import operator
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from datetime import date, datetime, timedelta
+from datetime import date, datetime, timedelta, timezone
 from itertools import chain, count, islice, repeat
 
 import numpy as np
@@ -54,8 +54,9 @@ _CHUNK_CHARS = 1 << 16
 # and hour otherwise.  Over 4 weeks of naive stamps (2-core Xeon, Python 3.11,
 # best of 9) the per-reading keys took 0.09 us a reading, the search 0.28 us
 # an hour at 1 reading an hour and 0.44 us at 60: the search took 1.07 times
-# the per-reading time at 3 readings an hour and 0.84 times at 4.  A shared
-# aware tzinfo costs the search another 0.04 us a reading to confirm.
+# the per-reading time at 3 readings an hour and 0.84 times at 4.  Aware
+# readings are checked for one shared tzinfo (0.04 us a reading) before
+# either path, so that check does not move the threshold.
 _SEARCH_ABOVE = 4
 
 # the ingestion CSV's header: load_csv requires it and write_timestamp_csv writes it
@@ -99,6 +100,8 @@ def load_csv(source) -> Readings:
     ASCII file is read from it a column at a time; any other file, and any
     file with an error, is read again from its start row by row through the
     csv module.  The readings and the errors are identical either way.
+    Spaces and other padding around a cell are ignored; the column path
+    strips timestamps only in the chunks of the file that hold some.
     """
     if hasattr(source, "read"):
         handle = io.StringIO(source.read().removeprefix("\ufeff"), newline="")
@@ -123,32 +126,39 @@ def _parse_plain(handle) -> Readings | None:
     Returns None, leaving the stream to ``_parse_rows``, unless every chunk
     passes ``_plain_cells``, the header is ``timestamp,value`` and every
     row parses to a value in [0, inf).  The cells are converted with the row
-    loop's own functions, so the readings are bit-identical to its.
+    loop's own functions, so the readings are bit-identical to its; only a
+    chunk that holds padding has its timestamps stripped, since the cells
+    of any other chunk have nothing to strip.
     """
     limit = csv.field_size_limit()
     header = _plain_cells(handle.readline(), limit)
-    if header is None or [cell.strip() for cell in header] != _HEADER:
+    if header is None or [cell.strip() for cell in header[0]] != _HEADER:
         return None
     timestamps: list[datetime] = []
     values = array("d")
     try:
         while chunk := handle.read(_CHUNK_CHARS):
-            cells = _plain_cells(chunk + handle.readline(), limit)
-            if cells is None:
+            plain = _plain_cells(chunk + handle.readline(), limit)
+            if plain is None:
                 return None
-            timestamps.extend(map(datetime.fromisoformat, map(str.strip, cells[0::2])))
-            values.extend(map(float, cells[1::2]))
+            cells, padded = plain
+            stamps = cells[0::2]
+            timestamps.extend(map(datetime.fromisoformat, map(str.strip, stamps) if padded else stamps))
+            # float() strips its own text, as in the row loop; a list fills
+            # the array faster than a lazy map
+            values.fromlist(list(map(float, cells[1::2])))
         return Readings(timestamps, values)
     except ValueError:  # a cell that does not parse, or a value outside [0, inf)
         return None
 
 
-def _plain_cells(chunk: str, limit: int) -> list[str] | None:
-    """Whole lines' cells as [timestamp, value, timestamp, value, ...], or None.
+def _plain_cells(chunk: str, limit: int) -> tuple[list[str], bool] | None:
+    """Whole lines' cells as [timestamp, value, timestamp, value, ...], and whether any may need a strip.
 
     None unless the chunk is ASCII with no quote, NUL, lone carriage return
     or blank line, every line holds exactly one comma, and no cell is
-    longer than ``limit``.
+    longer than ``limit``.  The flag is false only when the chunk holds no
+    character ``str.strip`` removes besides its line ends.
     """
     # NUL: csv.reader refuses it before Python 3.11, but fromisoformat
     # accepts one after a full timestamp
@@ -161,18 +171,31 @@ def _plain_cells(chunk: str, limit: int) -> list[str] | None:
     if not chunk.endswith("\n"):
         chunk += "\n"
     codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
-    seps = np.flatnonzero((codes == ord(",")) | (codes == ord("\n")))
+    # every ASCII character str.strip removes sorts below the comma, so one
+    # scan finds the separators and any padding; the + of an offset is
+    # found too, and only costs its chunk a strip
+    seps = np.flatnonzero(codes <= ord(","))
     kinds = codes[seps]
-    # separators alternate comma, line end, starting with a comma: so no
-    # line is blank and each holds one comma
-    if (kinds[0::2] != ord(",")).any() or (kinds[1::2] != ord("\n")).any():
-        return None
+    padded = not _one_comma_a_line(kinds)
+    if padded:
+        keep = (kinds == ord(",")) | (kinds == ord("\n"))
+        seps, kinds = seps[keep], kinds[keep]
+        if not _one_comma_a_line(kinds):
+            return None
     # each cell ends at a separator; only a chunk over the limit can hold a cell over it
     if len(chunk) > limit and np.diff(seps, prepend=-1).max() > limit + 1:
         return None
     cells = chunk.replace("\n", ",").split(",")
     cells.pop()  # the empty string after the last line end
-    return cells
+    return cells, padded
+
+
+def _one_comma_a_line(kinds: np.ndarray) -> bool:
+    """Whether a chunk's separators alternate comma, line end, starting with a comma.
+
+    So no line is blank and each holds one comma.
+    """
+    return not ((kinds[0::2] != ord(",")).any() or (kinds[1::2] != ord("\n")).any())
 
 
 def _parse_rows(reader) -> Readings:
@@ -220,7 +243,10 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
     Any empty bucket between the first and last hour is a hard error naming
     the missing hour; nothing is imputed.  Timestamps must be all naive or
     all share one UTC offset, whatever their tzinfo: across an offset
-    change the wall-clock hour and the week slot would part.
+    change the wall-clock hour and the week slot would part.  Readings
+    that share one ``datetime.timezone`` object, as ``load_csv`` gives
+    ``Z`` and ``+00:00``, have one fixed offset and skip the per-reading
+    check; any other tzinfo, a ``ZoneInfo`` among them, keeps it.
 
     Once sorted, readings denser than ``_SEARCH_ABOVE`` an hour on average
     over the hours they span, with one tzinfo object or none, are bucketed
@@ -244,15 +270,16 @@ def aggregate_hourly(readings: Readings, spec: SplitSpec | None = None) -> Traff
             del ordered  # its pairs are the largest allocation here; free them first
     except TypeError:
         raise WeekfitError("timestamps mix naive and timezone-aware datetimes") from None
-    _require_one_utc_offset(stamps)
     first, last = stamps[0], stamps[-1]
+    tz = first.tzinfo
+    shared = tz is None or all(map(operator.is_, map(operator.attrgetter("tzinfo"), stamps), repeat(tz)))
+    if not (shared and isinstance(tz, timezone)):
+        _require_one_utc_offset(stamps)
     span = (last.toordinal() - first.toordinal()) * HOURS_PER_DAY + last.hour - first.hour + 1
     # the search compares readings with hour marks, a wall-clock comparison
     # only between datetimes that share one tzinfo object; it walks at most
     # len(stamps) / _SEARCH_ABOVE hours, however far apart the readings lie
-    tz = first.tzinfo
-    if len(stamps) > _SEARCH_ABOVE * span and (
-            tz is None or all(map(operator.is_, map(operator.attrgetter("tzinfo"), stamps), repeat(tz)))):
+    if shared and len(stamps) > _SEARCH_ABOVE * span:
         slots = _slots_by_search(stamps, span)
     else:
         slots = _slots_by_reading(stamps)

@@ -11,6 +11,7 @@ import threading
 import types
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -193,22 +194,26 @@ class TestSynthFitPipeline:
         assert fits[0].read_bytes() == fits[1].read_bytes() == fits[2].read_bytes()
 
     def test_lf_and_quoted_copies_fit_the_same_model(self, tmp_path, gz_path):
-        # synth writes CRLF; the LF copy is read a column at a time like the
-        # original, the quoted copy through the csv module, and the model
-        # keeps every byte
+        # synth writes CRLF; the LF copy and the copy with a tab and spaces
+        # around every timestamp are read a column at a time like the
+        # original, the padded one with its timestamps stripped, the quoted
+        # copy through the csv module, and the model keeps every byte
         data = tmp_path / "data.csv"
         assert run("synth", "--model", gz_path, "--weeks", 4, "--noise", 200,
                    "--seed", 1, "--out", data) == 0
         lines = data.read_bytes().decode().splitlines()
-        lf, quoted = tmp_path / "lf.csv", tmp_path / "quoted.csv"
+        lf, quoted, padded = tmp_path / "lf.csv", tmp_path / "quoted.csv", tmp_path / "padded.csv"
         lf.write_bytes("".join(f"{line}\n" for line in lines).encode())
         quoted.write_bytes("".join('"' + '","'.join(line.split(",")) + '"\r\n'
                                    for line in lines).encode())
+        padded.write_bytes("".join(f"\t {line.replace(',', '  ,', 1)}\n" for line in lines).encode())
         fits = []
-        for source in (data, lf, quoted):
+        for source in (data, lf, quoted, padded):
             fits.append(tmp_path / f"fit_{source.stem}.json")
-            assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
-        assert fits[0].read_bytes() == fits[1].read_bytes() == fits[2].read_bytes()
+            with mock.patch.object(dataio, "_parse_rows", wraps=dataio._parse_rows) as rows:
+                assert run("fit", "--input", source, "--train-weeks", 2, "--out", fits[-1]) == 0
+            assert rows.called == (source == quoted)
+        assert len({fit.read_bytes() for fit in fits}) == 1
 
     def test_ten_minute_copy_scores_like_the_hourly_file(self, tmp_path, gz_path, capsys):
         # each hour's value at :00, then zeros at :10 to :50, which sum back

@@ -4,7 +4,7 @@ import json
 import sys
 import time
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta, timezone, tzinfo
 from unittest import mock
 from zoneinfo import ZoneInfo
 
@@ -65,11 +65,16 @@ model_st = st.builds(
 )
 
 
+# every ASCII character str.strip removes but the line ends; each sorts
+# below the comma, so the column path's one scan for separators finds it
+PADDING = ["\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " "]
+
 # cells either path reads alike; clean ones alone keep a file on the column
 # path, the others send it to the row loop or to an error: quotes,
-# non-ASCII, NUL, padding, unparseable, negative or long cells
+# non-ASCII, NUL, unparseable, negative or long cells
 CLEAN_STAMPS = ["2024-01-01T00:00:00", "2024-01-01T00:30:00", "2024-01-01T01:00:00+00:00",
-                " 2024-01-01T02:00:00 ", "2024-01-01 03:00"]
+                " 2024-01-01T02:00:00 ", "2024-01-01 03:00",
+                *(f"{pad}2024-01-01T04:00:00{pad}" for pad in PADDING[:-1])]
 OTHER_STAMPS = ["yesterday", "", '"2024-01-01T04:00:00"', '"2024-01-01T05:00:00\n"',
                 "2024-01-01T06:00:00\x00", "2024-01-01T07:00:00\u00e9"]
 CLEAN_VALUES = ["1", "2.5", " 3 ", "0", "-0.0", "1_000", "1e-3"]
@@ -77,7 +82,7 @@ OTHER_VALUES = ["-1", "nan", "inf", "1e400", "many", "", '"4"', '"5,5"', "6\x00"
                 "1" * 40]
 CLEAN_HEADERS = ["timestamp,value", " timestamp , value "]
 OTHER_HEADERS = ["timestamp,value,", '"timestamp",value', "value,timestamp", "timestamp", ""]
-SPLICES = ["\r", "\n", "\r\n", ",", '"', "\x00", "\u00e9", " "]
+SPLICES = ["\r", "\n", "\r\n", ",", '"', "\x00", "\u00e9", *PADDING]
 
 
 @st.composite
@@ -252,6 +257,20 @@ class TestLoadCsv:
                     == load_outcome(naive_load_csv, text))
         finally:
             csv.field_size_limit(default)
+
+    def test_only_chunks_with_padding_are_stripped(self):
+        assert set(PADDING) | {"\n", "\r"} == {char for char in map(chr, range(128)) if not char.strip()}
+        rows = ["2024-01-01T00:00:00,1\n", "2024-01-01T00:30:00,2\n",
+                *(f"{pad}2024-01-01T01:{minute:02d}:00{pad},3\n" for minute, pad in enumerate(PADDING)),
+                "2024-01-01T02:00:00+00:00,4\n", "2024-01-01T02:30:00,5\n"]
+        limit = csv.field_size_limit()
+        assert [dataio._plain_cells(row, limit)[1] for row in rows] == [False] * 2 + [True] * 9 + [False]
+        # one row a chunk: the file holds chunks with padding and chunks
+        # without, and the column path alone reads it as the row loop does
+        text = "timestamp,value\n" + "".join(rows)
+        with mock.patch.object(dataio, "_CHUNK_CHARS", 1):
+            assert (load_outcome(dataio._parse_plain, io.StringIO(text, newline=""))
+                    == load_outcome(naive_load_csv, text))
 
     @settings(max_examples=100, deadline=None)
     @given(text=csv_texts(clean=st.just(True)), chunk=st.integers(1, 64))
@@ -507,6 +526,35 @@ class TestAggregateHourly:
         assert aggregate_hourly(Readings(winter, values)) == aggregate_hourly(
             Readings(fixed, values)
         )
+
+    @pytest.mark.parametrize("offset", [timedelta(0), timedelta(hours=5, minutes=30)])
+    def test_only_one_shared_timezone_skips_the_offset_pass(self, offset):
+        # a datetime.timezone's offset is fixed, so readings sharing one skip
+        # the per-reading check; the same offset in an object per reading,
+        # or in another tzinfo, keeps it, and every way sums alike
+
+        class CountingZone(tzinfo):
+            calls = 0
+
+            def utcoffset(self, dt):
+                self.calls += 1
+                return offset
+
+            def dst(self, dt):
+                return None
+
+        shared, counting = timezone(offset), CountingZone()
+        first = datetime(2024, 1, 1, 7)
+        rows = [(first + timedelta(minutes=m), float(m % 7)) for m in range(180)]
+        for zone, checked in ((lambda: shared, False), (lambda: timezone(offset, "own"), True),
+                              (lambda: counting, True)):
+            aware = [(stamp.replace(tzinfo=zone()), value) for stamp, value in rows]
+            with mock.patch.object(dataio, "_require_one_utc_offset",
+                                   wraps=dataio._require_one_utc_offset) as check:
+                assert aggregate_outcome(readings_of(aware)) == expected_outcome(rows)
+            assert check.called == checked
+        # the first reading's offset, then every reading's
+        assert counting.calls == len(rows) + 1
 
 
 class TestSplit:
