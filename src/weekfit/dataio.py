@@ -171,14 +171,15 @@ def _plain_cells(chunk: str, limit: int) -> tuple[list[str], bool] | None:
     if not chunk.endswith("\n"):
         chunk += "\n"
     codes = np.frombuffer(chunk.encode("ascii"), np.uint8)
-    # every ASCII character str.strip removes sorts below the comma, so one
-    # scan finds the separators and any padding; the + of an offset is
-    # found too, and only costs its chunk a strip
+    # every ASCII character str.strip removes sorts at or below the space,
+    # below the comma, so one scan finds the separators and any padding;
+    # the + of an offset is found too, but needs no strip
     seps = np.flatnonzero(codes <= ord(","))
     kinds = codes[seps]
-    padded = not _one_comma_a_line(kinds)
-    if padded:
+    padded = False
+    if not _one_comma_a_line(kinds):
         keep = (kinds == ord(",")) | (kinds == ord("\n"))
+        padded = bool((kinds[~keep] <= ord(" ")).any())
         seps, kinds = seps[keep], kinds[keep]
         if not _one_comma_a_line(kinds):
             return None

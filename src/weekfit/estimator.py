@@ -9,6 +9,8 @@ squares W = sum (y - y_slot)^2 alone: J = sum_s n_s (m_s - y_s)^2 + W, and
 the gradient is 2 J_m^T N (m - y) with J_m the 168 x 27 Jacobian of the
 slot model m.  One slot problem serves ``objective``, ``gradient`` and
 both solvers, and its cost per evaluation does not grow with the series.
+The model and the Jacobian are folded per component from each Gaussian's
+27 x 24 grid of hours (``model._gaussian_terms``), not summed over 63 terms.
 
 Both solvers move a transformed parameter vector inside one box:
 amplitudes scaled by the data maximum and kept >= 0, peak times kept in
@@ -33,13 +35,7 @@ import numpy as np
 
 from .errors import _finite, _integer, _real, _reals
 from .model import (
-    _SLOT_GRID,
-    _TERM_COMPONENT,
-    _gaussian_terms,
-    _model_arrays,
-    _model_from_arrays,
-    _require_full_week,
-    _slot_statistics,
+    _SLOT_HOURS, _fold, _gaussian_terms, _model_arrays, _model_from_arrays, _require_full_week, _slot_statistics,
     TrafficSeries,
 )
 from .params import _Frozen, ComponentId, DayCategory, DAYS_PER_WEEK, HOURS_PER_DAY, HOURS_PER_WEEK, WeeklyModel
@@ -65,9 +61,6 @@ _UPPER = np.tile([np.inf, np.nextafter(HOURS_PER_DAY, 0.0), _LOG_VARIANCE_BOUND]
 _LM_INITIAL_DAMPING = 1.0
 _LM_MAX_DAMPING = 1e16
 _LM_DIAGONAL_FLOOR = 1e-12
-
-# (63, 9) indicator of the component each Gaussian term belongs to.
-_TERM_INDICATOR = (_TERM_COMPONENT[:, None] == np.arange(len(ComponentId))).astype(float)
 
 # The default start picks peaks among the hours 6-23 of a day, so none
 # crosses midnight; row h of _START_BUMPS is the Gaussian of variance
@@ -152,7 +145,7 @@ class _SlotPoint:
     def __init__(self, problem: _SlotProblem, rates, times, variances):
         self.rates = rates
         self.variances = variances
-        self.offsets, self.factors, per_slot = _gaussian_terms(rates, times, variances, _SLOT_GRID)
+        self.offsets, self.factors, self.sums, per_slot = _gaussian_terms(rates, times, variances, _SLOT_HOURS)
         gap = per_slot - problem.means
         self.folded = problem.counts * gap  # n_s (m_s - y_s): the residuals summed per slot
         # J = sum_s n_s (m_s - y_s)^2 + W; both terms are >= 0, so nothing cancels
@@ -170,9 +163,9 @@ class _SlotPoint:
         weighted = self.factors * self.offsets
         ratio = self.rates / self.variances
         jac = np.empty((HOURS_PER_WEEK, N_PARAMETERS))
-        jac[:, 0::3] = self.factors @ _TERM_INDICATOR
-        jac[:, 1::3] = (weighted @ _TERM_INDICATOR) * ratio
-        jac[:, 2::3] = (weighted * self.offsets) @ _TERM_INDICATOR * (0.5 * ratio / self.variances)
+        jac[:, 0::3] = self.sums
+        jac[:, 1::3] = _fold(weighted) * ratio
+        jac[:, 2::3] = _fold(weighted * self.offsets) * (0.5 * ratio / self.variances)
         return jac
 
 

@@ -7,6 +7,10 @@ five weekdays.  Each component is a Gaussian in absolute hours, so the
 profile is continuous across midnight; mass spilling across week
 boundaries is kept by evaluating one wrapped copy of the week on either
 side, so the profile is exactly 168-hour periodic.
+
+The 63 copies (a component's per covered day and week) are folded: each
+Gaussian is evaluated once on the hours its copies reach, and one batched
+matrix product sums the copies per slot, for the fit and every prediction.
 """
 
 from __future__ import annotations
@@ -89,11 +93,6 @@ def _repeat_week(profile: np.ndarray, start: int, n_hours: int) -> TrafficSeries
     return TrafficSeries(profile[_week_slots(start, _integer(n_hours, "n_hours", 1, _MAX_HOURS))], start)
 
 
-# params._TERMS, the 63 terms' layout, as a component index and a shift per term
-_TERM_COMPONENT = np.array([index for index, _ in _TERMS], dtype=np.intp)
-_TERM_SHIFT = np.array([shift for _, shift in _TERMS])
-
-
 def _model_arrays(model: WeeklyModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Peak rates, peak times and variances in canonical component order."""
     rates = np.array([model[c].peak_rate for c in ComponentId])
@@ -107,40 +106,47 @@ def _model_from_arrays(rates, times, variances) -> WeeklyModel:
     return WeeklyModel(dict(zip(ComponentId, map(ComponentParams, rates, times, variances))))
 
 
-def _gaussian_terms(
-    rates: np.ndarray, times: np.ndarray, variances: np.ndarray, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-term offsets and Gaussian factors, and the model value per row.
+# A component's copy for (day, week) in params._TERMS reaches slot 24*D + h at the hour h + 24*m,
+# m = D - (day - 1) - 7*week in -13..13 (_DAY_HOURS holds 24*m).  _COPIES[c, D, m + 13] is 1 where
+# day D sums row m of component c: 15 rows a day for a weekday component, 3 for a weekend one.
+_DAY_HOURS = np.arange(-13.0, 14.0)[:, None] * HOURS_PER_DAY
+_SLOT_HOURS = _DAY_HOURS + np.arange(float(HOURS_PER_DAY))
+_COPIES = np.zeros((len(ComponentId), DAYS_PER_WEEK, _DAY_HOURS.size))
+_COPIES[tuple(zip(*((index, day, day + 14 - int(shift) // HOURS_PER_DAY)
+                    for index, shift in _TERMS for day in range(DAYS_PER_WEEK))))] = 1.0
 
-    ``grid`` holds ``(24*day + hour) - _TERM_SHIFT`` per row and term, shape
-    (168, 63) for the week slots (``_SLOT_GRID``) or (1, 63) for one clock;
-    offsets and factors have the grid's shape, the values one entry per row.
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """Per-component sums of the copies of ``terms`` (9, 27, H), one row per (day, hour): shape (7*H, 9)."""
+    return np.matmul(_COPIES, terms).reshape(len(ComponentId), -1).T
+
+
+def _gaussian_terms(rates, times, variances, hours: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Offsets and factors of each Gaussian, their folded sums, and the model value per row.
+
+    ``hours`` is ``_DAY_HOURS`` plus the hours of the day: (27, 24) for the week slots
+    (``_SLOT_HOURS``) or (27, 1) for one clock.  Offsets and factors are (9, 27, H); the
+    sums, (7*H, 9), and the values have one row per (day, hour).
     """
-    offsets = grid - times[_TERM_COMPONENT]
+    offsets = hours - times[:, None, None]
     # -(u*u)/(2 var) computed in place as (u*u)/(-2 var): the same bits
     factors = np.multiply(offsets, offsets)
-    np.divide(factors, -2.0 * variances[_TERM_COMPONENT], out=factors)
+    np.divide(factors, (-2.0 * variances)[:, None, None], out=factors)
     np.maximum(factors, _EXP_FLOOR, out=factors)
     np.exp(factors, out=factors)
-    return offsets, factors, factors @ rates[_TERM_COMPONENT]
-
-
-# ``24*day + hour`` of the 168 week slots (the slot plus 24) and their term
-# grid: hourly series only ever sample these slots.
-_SLOT_BASE = np.arange(float(HOURS_PER_WEEK)) + HOURS_PER_DAY
-_SLOT_GRID = _SLOT_BASE[:, None] - _TERM_SHIFT[None, :]
+    sums = _fold(factors)
+    return offsets, factors, sums, sums @ rates
 
 
 @np.errstate(over="ignore")  # _finite refuses a rate that overflows
-def _values_at(model: WeeklyModel, grid: np.ndarray) -> np.ndarray:
-    """Model values at each row of a term ``grid``, e.g. ``_SLOT_GRID``."""
-    return _finite(_gaussian_terms(*_model_arrays(model), grid)[2], "a modeled rate")
+def _values_at(model: WeeklyModel, hours: np.ndarray) -> np.ndarray:
+    """Model values at each row of an hour grid, e.g. ``_SLOT_HOURS``."""
+    return _finite(_gaussian_terms(*_model_arrays(model), hours)[3], "a modeled rate")
 
 
 def weekly_value(model: WeeklyModel, clock: WeekClock) -> float:
     """Modeled traffic rate at one position in the week (sum of all 63 terms)."""
-    grid = (clock.hour + HOURS_PER_DAY * clock.day) - _TERM_SHIFT[None, :]
-    return float(_values_at(model, grid)[0])
+    return float(_values_at(model, _DAY_HOURS + clock.hour)[clock.day - 1])
 
 
 def predict_series(
@@ -157,7 +163,7 @@ def predict_series(
     """
     hour = _integer(start_clock.hour, "start_clock.hour", 0)
     first = (_integer(start_week, "start_week", 0) * DAYS_PER_WEEK + start_clock.day - 1) * HOURS_PER_DAY
-    return _repeat_week(_values_at(model, _SLOT_GRID), first + hour, n_hours)
+    return _repeat_week(_values_at(model, _SLOT_HOURS), first + hour, n_hours)
 
 
 @np.errstate(over="ignore")  # _finite refuses a noisy rate that overflows

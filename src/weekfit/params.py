@@ -2,7 +2,7 @@
 are laid out on, the model JSON file, the model's rate at each of the 168 week slots, and the
 series CSV that ``weekfit predict`` writes.  None of it needs array maths, so this module never
 imports numpy: a process that only loads, saves, inspects or predicts from a model starts
-without it.  ``model`` evaluates the same 63-term layout with numpy for the library.
+without it.  ``model`` evaluates the same 63 terms with numpy, folded per slot by a matrix product.
 
 The same process imports no more of the standard library than it runs: the package's nine value
 types (the three here, ``Readings``, ``SplitSpec``, ``TrafficSeries``, ``FitConfig``, ``FitReport``
@@ -215,10 +215,10 @@ _EXP_FLOOR = -700.0
 def _week_profile(model: WeeklyModel) -> list[float]:
     """The modeled rate at each of the 168 week slots (0 = Monday 00:00), without numpy.
 
-    Each slot's 63 terms are computed as ``model._gaussian_terms`` computes
-    them, but with ``math.exp``, and summed with ``math.fsum``, so the rates
-    match ``predict_series`` to about 1e-16 relative and do not depend on a
-    BLAS kernel.  A rate past the float range raises WeekfitError.
+    Each slot's 63 terms take ``model._gaussian_terms``'s exponents and ``math.exp``
+    and are summed with ``math.fsum``, not folded by a matrix product, so the rates
+    match ``predict_series`` to about 1e-16 relative and do not depend on a BLAS
+    kernel.  A rate past the float range raises WeekfitError.
     """
     params = [model[comp] for comp in ComponentId]
     terms = [(params[i].peak_rate, params[i].peak_time, -2.0 * params[i].variance, shift) for i, shift in _TERMS]

@@ -264,13 +264,21 @@ class TestLoadCsv:
                 *(f"{pad}2024-01-01T01:{minute:02d}:00{pad},3\n" for minute, pad in enumerate(PADDING)),
                 "2024-01-01T02:00:00+00:00,4\n", "2024-01-01T02:30:00,5\n"]
         limit = csv.field_size_limit()
-        assert [dataio._plain_cells(row, limit)[1] for row in rows] == [False] * 2 + [True] * 9 + [False]
+        assert [dataio._plain_cells(row, limit)[1] for row in rows] == [False] * 2 + [True] * 8 + [False] * 2
         # one row a chunk: the file holds chunks with padding and chunks
         # without, and the column path alone reads it as the row loop does
         text = "timestamp,value\n" + "".join(rows)
         with mock.patch.object(dataio, "_CHUNK_CHARS", 1):
             assert (load_outcome(dataio._parse_plain, io.StringIO(text, newline=""))
                     == load_outcome(naive_load_csv, text))
+
+    def test_offsets_are_not_padding(self):
+        # the + of an offset sorts below the comma, but str.strip keeps it
+        text = "timestamp,value\n" + "".join(f"2024-01-01T{hour:02d}:00:00+00:00,{hour}\n" for hour in range(24))
+        assert dataio._plain_cells(text, csv.field_size_limit())[1] is False
+        with mock.patch.object(dataio, "_CHUNK_CHARS", 64), mock.patch.object(dataio, "_parse_rows") as row_loop:
+            assert load_outcome(load_csv, io.StringIO(text, newline="")) == load_outcome(naive_load_csv, text)
+        row_loop.assert_not_called()
 
     @settings(max_examples=100, deadline=None)
     @given(text=csv_texts(clean=st.just(True)), chunk=st.integers(1, 64))
@@ -782,28 +790,29 @@ class TestWriterBytes:
         write_timestamp_csv(series, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(["timestamp", "value"], rows)
 
+    @staticmethod
+    def peaks(writer, path) -> tuple[int, int]:
+        """``writer``'s traced peaks at 32,768 hours, two of its 16,384-row blocks, and at 4 times that."""
+        peaks = []
+        for hours in (1 << 15, 1 << 17):
+            series = TrafficSeries(np.random.default_rng(5).uniform(0, 1e4, hours))
+            tracemalloc.start()
+            try:
+                writer(series, path)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        return peaks[0], peaks[1]
+
     def test_timestamp_csv_never_holds_the_whole_text(self, tmp_path):
-        # 2,000 weeks, whose timestamps and values as text take about 75 MiB
-        series = TrafficSeries(np.random.default_rng(5).uniform(0, 1e4, 336_000))
-        tracemalloc.start()
-        try:
-            write_timestamp_csv(series, tmp_path / "t.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # streamed, the peak stays flat; the timestamps held as a list grow it about 4x
+        small, large = self.peaks(write_timestamp_csv, tmp_path / "t.csv")
+        assert large < 1.25 * small, f"peaks {small / 2**20:.1f} and {large / 2**20:.1f} MiB"
 
     def test_series_csv_never_holds_every_value(self, tmp_path):
-        # 2,000 weeks: a Python float per hour, held whole, peaks near 13 MiB;
-        # converted a block at a time, near 3 MiB
-        series = TrafficSeries(np.random.default_rng(5).uniform(0, 1e4, 336_000))
-        tracemalloc.start()
-        try:
-            write_series_csv(series, tmp_path / "s.csv")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        # streamed, the peak stays flat; a Python float per hour held whole adds 32 bytes an hour
+        small, large = self.peaks(write_series_csv, tmp_path / "s.csv")
+        assert large < 1.25 * small, f"peaks {small / 2**20:.1f} and {large / 2**20:.1f} MiB"
 
     def test_trace_csv(self, tmp_path):
         trace = [1.7976931348623157e+308, 12.5, 0.1, 5e-324, 0.0]

@@ -53,6 +53,13 @@ class TestObjective:
     def test_zero_on_own_noiseless_data(self, guangzhou):
         data = generate_synthetic(guangzhou, 1, 0.0, seed=0)
         assert objective(guangzhou, data) == 0.0
+        # one kernel models the data and the fit, so J is exactly 0 from any start
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            model = random_model(rng)
+            assert objective(model, generate_synthetic(model, 2, 0.0, seed=0)) == 0.0
+            midweek = predict_series(model, 300, start_week=3, start_clock=WeekClock(4, 13.0))
+            assert objective(model, midweek) == 0.0
 
     def test_zero_model_gives_sum_of_squares(self):
         zero = WeeklyModel({c: ComponentParams(0.0, 12.0, 1.0) for c in ComponentId})

@@ -27,15 +27,8 @@ from weekfit import (
     week_clock_at,
     weekly_value,
 )
-from weekfit.model import (
-    _EXP_FLOOR,
-    _SLOT_BASE,
-    _SLOT_GRID,
-    _TERM_COMPONENT,
-    _TERM_SHIFT,
-    _gaussian_terms,
-)
-from weekfit.params import _week_profile
+from weekfit.model import _COPIES, _EXP_FLOOR, _SLOT_HOURS, _gaussian_terms
+from weekfit.params import _TERMS, _week_profile
 
 from conftest import random_model, series_csv_clocks
 from oracles import naive_weekly_value
@@ -633,8 +626,14 @@ def test_random_models_match_brute_force_tightly():
 
 
 def test_slot_kernel_keeps_the_broadcast_formula_bits():
-    # the precomputed grid and the in-place exponent must give exactly the
-    # bits of the plain broadcast formula -(o*o)/(2v), o = base - shift - t
+    # each Gaussian is evaluated once on the hours h + 24*m: the copy of term (c, shift) that
+    # slot s = 24*D + h sums is row m + 13 = D + 14 - shift/24, and must hold exactly the bits
+    # of the plain broadcast formula -(o*o)/(2v), o = (24 + s) - shift - t, over the 63 terms
+    component, shift = np.array(_TERMS).T
+    component = component.astype(int)
+    slots = np.arange(168)[:, None]
+    rows = slots // 24 + 14 - shift.astype(int) // 24
+    hours = np.broadcast_to(slots % 24, rows.shape)
     rng = np.random.default_rng(17)
     for _ in range(40):
         rates = rng.uniform(0.0, 4.0, 9)
@@ -642,13 +641,17 @@ def test_slot_kernel_keeps_the_broadcast_formula_bits():
         log_variances = rng.uniform(-20.0, 20.0, 9)
         log_variances[:3] = rng.choice([-20.0, 20.0], 3) * (1.0 - rng.uniform(0.0, 1e-6, 3))
         variances = np.exp(log_variances)
-        o = _SLOT_BASE[:, None] - _TERM_SHIFT - times[_TERM_COMPONENT]
-        exponents = -(o * o) / (2.0 * variances[_TERM_COMPONENT])
+        o = (24.0 + slots) - shift - times[component]
+        exponents = -(o * o) / (2.0 * variances[component])
         factors = np.exp(np.maximum(exponents, _EXP_FLOOR))
-        got_offsets, got_factors, got_values = _gaussian_terms(rates, times, variances, _SLOT_GRID)
-        assert np.array_equal(got_offsets, o)
-        assert np.array_equal(got_factors, factors)
-        assert np.array_equal(got_values, factors @ rates[_TERM_COMPONENT])
+        got_offsets, got_factors, _, got_values = _gaussian_terms(rates, times, variances, _SLOT_HOURS)
+        assert np.array_equal(got_offsets[component, rows, hours], o)
+        assert np.array_equal(got_factors[component, rows, hours], factors)
+        # the folded sums add the same factors in another order
+        assert got_values == pytest.approx(factors @ rates[component], rel=1e-13, abs=0)
+    # one copy per (day, week) of a component: 5 x 3 for a weekday one, 1 x 3 for a weekend one
+    assert set(np.unique(_COPIES)) == {0.0, 1.0}
+    assert (_COPIES.sum(axis=2) == np.array([15] * 3 + [3] * 6)[:, None]).all()
 
 
 def test_pure_python_week_profile_matches_the_numpy_kernel(guangzhou, milan):
